@@ -37,7 +37,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 lint:
-	$(PYTHON) -m repro.lint src --project
+	$(PYTHON) -m repro.lint src
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check .; \
 	else \

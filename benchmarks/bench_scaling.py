@@ -17,9 +17,10 @@ import time
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.baselines import compare_on
 from repro.core import simulate, simulate_reference
-from repro.fastpath import IndexedGraph, available_backends, simulate_indexed
+from repro.fastpath import IndexedGraph, available_backends, run_spec
 from repro.graphs import cycle_graph, erdos_renyi
 
 from conftest import record
@@ -93,13 +94,8 @@ def test_ext_scale_fastpath_speedup_10k(benchmark):
     index = IndexedGraph(graph)
 
     def fast():
-        return simulate_indexed(
-            graph,
-            [0],
-            backend="pure",
-            index=index,
-            collect_senders=False,
-            collect_receives=False,
+        return run_spec(
+            FloodSpec(graph=graph, sources=(0,), backend="pure"), index
         )
 
     run = benchmark(fast)
@@ -140,13 +136,7 @@ def test_ext_scale_fastpath_backends(benchmark, n, backend):
     IndexedGraph.of(graph)  # freeze once, outside the timed region
 
     def flood():
-        return simulate_indexed(
-            graph,
-            [0],
-            backend=backend,
-            collect_senders=False,
-            collect_receives=False,
-        )
+        return run_spec(FloodSpec(graph=graph, sources=(0,), backend=backend))
 
     run = benchmark(flood)
     assert run.terminated

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.core import simulate
 from repro.fastpath import sweep
 from repro.graphs import erdos_renyi
@@ -68,7 +69,10 @@ def serve_all(graph, sources, workers):
         async with FloodService(workers=workers, batch_window=0.001) as svc:
             svc.register(graph)
             runs = await asyncio.gather(
-                *(svc.query(graph, [source]) for source in sources)
+                *(
+                    svc.query_spec(FloodSpec(graph=graph, sources=(source,)))
+                    for source in sources
+                )
             )
             return runs, svc.stats
 

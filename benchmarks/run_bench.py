@@ -78,9 +78,9 @@ FASTPATH_PREFIXES = (
 TRAJECTORY_OPTIONAL = (
     # The forced-failure benchmark is an exit-code canary: it is always
     # skipped unless REPRO_BENCH_FORCE_FAIL is set, so it never produces
-    # a trajectory row.  Read by the REP302 bench-coverage lint rule --
-    # every other family matching FASTPATH_PREFIXES must have a row in
-    # BENCH_fastpath.json.
+    # a trajectory row.  Read by tests/integration/test_bench_trajectory.py
+    # -- every other collected family matching FASTPATH_PREFIXES must
+    # have a row in BENCH_fastpath.json.
     "test_ext_par_forced_failure",
 )
 EXTRA_ROW_KEYS = (

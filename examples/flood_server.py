@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import time
 
+from repro.api import FloodSpec
 from repro.fastpath import sweep
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi
 from repro.service import FloodService, QueueFull
@@ -47,7 +48,9 @@ async def serve_burst(service, graphs, per_graph=24):
     queries = []
     for graph in graphs.values():
         for source in graph.nodes()[:per_graph]:
-            queries.append(service.query(graph, [source]))
+            queries.append(
+                service.query_spec(FloodSpec(graph=graph, sources=(source,)))
+            )
     started = time.perf_counter()
     results = await asyncio.gather(*queries)
     elapsed = time.perf_counter() - started
@@ -75,7 +78,7 @@ async def backpressure_demo(service, graph):
     async def one(source):
         nonlocal rejected
         try:
-            await service.query(graph, [source])
+            await service.query_spec(FloodSpec(graph=graph, sources=(source,)))
         except QueueFull:
             rejected += 1
 

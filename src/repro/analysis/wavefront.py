@@ -19,7 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.fastpath import simulate_indexed
+# The fast path first: it imports repro.api.spec on the way in, and
+# importing the api package first would close an import cycle.
+from repro.fastpath import run_spec
+from repro.api.spec import FloodSpec
 from repro.graphs.double_cover import cover_distances
 from repro.graphs.graph import Graph, Node
 from repro.graphs.traversal import bfs_distances
@@ -103,9 +106,7 @@ def frontier_profile(graph: Graph, source: Node) -> List[int]:
     path with only per-round counters -- no per-node bookkeeping -- so
     profiling large graphs costs O(messages) flat.
     """
-    run = simulate_indexed(
-        graph, [source], collect_senders=False, collect_receives=False
-    )
+    run = run_spec(FloodSpec(graph=graph, sources=(source,)))
     return list(run.round_edge_counts)
 
 

@@ -18,13 +18,14 @@ service:
   :meth:`FloodSpec.from_scenario`) -- ``"lossy:0.1"``, ``"kmemory:2"``,
   ``"periodic:3,4"`` ... as nameable workloads.
 
-The legacy entry points (``core.simulate``, ``fastpath.sweep``,
-``parallel_sweep``, ``FloodService.query``) remain supported shims:
-each constructs a spec and rides the same pipeline, so the two styles
-can never drift apart.
+Every tier takes a spec: ``fastpath.run_spec`` / ``sweep_specs``,
+``SweepPool.sweep_specs`` and ``FloodService.query_spec`` /
+``query_batch_specs``.  The kwargs conveniences that remain
+(``core.simulate``, ``fastpath.sweep``, ``parallel_sweep``) build
+specs or batch keys and ride the same pipeline.
 
 This ``__init__`` keeps its imports light on purpose: ``spec`` and
-``result`` load eagerly (the engine shims need them), while the
+``result`` load eagerly (the engines need them), while the
 session and scenario modules -- which pull in the pool, the service
 and the reference variants -- resolve lazily through PEP 562 so
 importing :mod:`repro.fastpath` stays cycle-free.

@@ -12,7 +12,7 @@ headline statistics every tier can report (termination verdict, rounds
 executed, message totals, per-round counts).  The tier-specific record
 survives untouched in :attr:`FloodResult.raw`, so nothing is lost --
 the equivalence tests compare ``result.raw`` bit-for-bit against the
-legacy entry points.
+lower tiers.
 """
 
 from __future__ import annotations

@@ -181,9 +181,9 @@ class FloodSession:
         """Execute one spec serially; the facade form of ``simulate``.
 
         Every built-in scenario (and plain/variant spec) runs on the
-        arc-mask fast path with the legacy single-run backend
-        selection, so the result is bit-identical to
-        ``simulate_indexed`` of the same request.  ``reference=True``
+        arc-mask fast path with the single-run backend selection, so
+        the result is bit-identical to ``fastpath.run_spec`` of the
+        same request.  ``reference=True``
         is the escape hatch onto the pinned set-based engines
         (:func:`repro.api.scenarios.run_scenario`) -- the second
         opinion the equivalence matrix compares against; reference
@@ -236,7 +236,7 @@ class FloodSession:
         runner.  Grouping changes
         scheduling, never content: every group's results are
         bit-identical to the serial spec sweep, which is itself
-        bit-identical to the legacy ``sweep``/``parallel_sweep`` of the
+        bit-identical to the kwargs ``sweep``/``parallel_sweep`` of the
         same requests.
         """
         self._require_open()

@@ -1,11 +1,11 @@
 """``FloodSpec``: one declarative request object for every execution tier.
 
-The repo grew four ways to run a flood -- ``core.amnesiac.simulate``,
-``fastpath.sweep``/``simulate_indexed``, ``parallel_sweep``/``SweepPool``
-and ``FloodService.query`` -- and every new capability (backends, probe
-routing, variants, per-request RNG keys) had to be hand-threaded through
-all of them as parallel kwarg pipelines.  This module collapses the
-request shape into a single frozen dataclass, validated **once** at
+A flood runs on one of four tiers -- a single run
+(``fastpath.run_spec``), a serial batch (``fastpath.sweep_specs``), the
+worker pool (``SweepPool.sweep_specs``) and the query service
+(``FloodService.query_spec``) -- and every capability (backends, probe
+routing, variants, per-request RNG keys) reaches all of them through
+one request shape: a single frozen dataclass, validated **once** at
 construction:
 
 * :class:`FloodSpec` -- graph + sources + round budget + backend +
@@ -35,6 +35,7 @@ runnable on every tier.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Tuple
 
@@ -61,21 +62,22 @@ names."""
 DIGEST_EXCLUDED = frozenset({"cache"})
 """The :class:`FloodSpec` fields deliberately absent from :meth:`FloodSpec.digest`.
 
-Read by the ``REP201`` digest-coverage lint rule: every dataclass field
-must either appear in the digest payload or be listed here with its
-reason.  ``cache`` is the transport *policy* -- how to treat the cache
-entry, never which entry the request names (see :data:`CACHE_MODES`);
-putting it in the digest would split identical results across three
-cache addresses."""
+Read by ``tests/api/test_spec_contracts.py``, which perturbs every
+dataclass field: a field must change the digest, or be listed here
+with its reason (and then must not change it).  ``cache`` is the
+transport *policy* -- how to treat the cache entry, never which entry
+the request names (see :data:`CACHE_MODES`); putting it in the digest
+would split identical results across three cache addresses."""
 
 BATCH_KEY_EXCLUDED = frozenset(
     {"graph", "sources", "backend", "probe", "scenario", "stream"}
 )
 """Digest-participating fields deliberately absent from :meth:`FloodSpec.batch_key`.
 
-Read by the ``REP202`` batch-key-coverage lint rule: every field the
-digest covers must either split the coalescing bucket (be read by
-``batch_key()``) or be declared bucket-irrelevant here.  The reasons:
+Read by ``tests/api/test_spec_contracts.py``, which perturbs every
+digest field: it must split the coalescing bucket (change
+``batch_key()``), or be declared bucket-irrelevant here (and then must
+not change it).  The reasons:
 
 * ``graph`` / ``sources`` -- batching is *per graph entry* (the bucket
   key pairs the entry with the ``BatchKey``) and a batch is exactly a
@@ -92,6 +94,24 @@ digest covers must either split the coalescing bucket (be read by
 * ``stream`` -- the per-request RNG position; requests on different
   streams batch together by design, each carrying its own
   ``run_key()`` into the pool."""
+
+
+def _integer_field(name: str, value: object) -> int:
+    """``value`` as a plain ``int``, or a :class:`ConfigurationError`.
+
+    Integer-likes (``numpy.int64``...) canonicalise through
+    :func:`operator.index`, so equal specs carry equal digests; ``bool``
+    and non-integral values (``2.0``, ``2.5``, ``"3"``) are rejected
+    rather than silently truncated or ``repr``-split.
+    """
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got bool")
+    try:
+        return operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise ConfigurationError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -195,8 +215,8 @@ class FloodSpec:
             )
         # Sources: validate against the graph and canonicalise to a
         # first-seen-ordered label tuple.  Deliberately index-free --
-        # construction must stay O(sources), never O(graph): legacy
-        # shims build one spec per source set, and touching the CSR
+        # construction must stay O(sources), never O(graph): sweeps
+        # build one spec per source set, and touching the CSR
         # index LRU here can cost a full graph-equality compare per
         # spec when an equal-but-distinct graph occupies the cache slot.
         seen = set()
@@ -210,6 +230,19 @@ class FloodSpec:
         if not canonical:
             raise ConfigurationError("at least one source is required")
         object.__setattr__(self, "sources", tuple(canonical))
+        # Integer fields canonicalise to a plain int (the exact-type
+        # check keeps the common case to one comparison).
+        if self.max_rounds is not None:
+            if type(self.max_rounds) is not int:
+                object.__setattr__(
+                    self, "max_rounds", _integer_field("max_rounds", self.max_rounds)
+                )
+            if self.max_rounds < 1:
+                raise ConfigurationError("max_rounds must be >= 1")
+        if type(self.stream) is not int:
+            object.__setattr__(self, "stream", _integer_field("stream", self.stream))
+        if self.stream < 0:
+            raise ConfigurationError("stream must be an int >= 0")
         if self.variant is not None and not isinstance(self.variant, VariantSpec):
             raise ConfigurationError(
                 f"variant must be a VariantSpec, got {type(self.variant).__name__}"
@@ -245,8 +278,6 @@ class FloodSpec:
             else:
                 budget = default_round_budget(self.graph)
             object.__setattr__(self, "max_rounds", budget)
-        elif self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
         if self.scenario is not None and self.backend is not None:
             raise ConfigurationError(
                 f"scenario {self.scenario!r} runs on the reference engines; "
@@ -257,8 +288,6 @@ class FloodSpec:
             raise ConfigurationError(
                 f"cache must be one of {CACHE_MODES}, got {self.cache!r}"
             )
-        if not isinstance(self.stream, int) or self.stream < 0:
-            raise ConfigurationError("stream must be an int >= 0")
         if (
             self.stream
             and self.scenario is None

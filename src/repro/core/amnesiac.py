@@ -44,7 +44,10 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, NodeNotFoundError, NonTerminationError
-from repro.fastpath import simulate_indexed
+# The fast path first: it imports repro.api.spec on the way in, and
+# importing the api package first would close an import cycle.
+from repro.fastpath import run_spec
+from repro.api.spec import FloodSpec
 from repro.graphs.graph import Graph, Node
 from repro.sync.engine import default_round_budget, run_algorithm
 from repro.sync.message import FLOOD_PAYLOAD, Message, Send
@@ -231,13 +234,17 @@ def simulate(
     NonTerminationError
         If ``raise_on_budget`` is set and the budget is exhausted.
     """
-    run = simulate_indexed(
-        graph,
-        sources,
+    spec = FloodSpec(
+        graph=graph,
+        sources=tuple(sources),
         max_rounds=max_rounds,
-        raise_on_budget=raise_on_budget,
         backend=backend,
+        collect_senders=True,
+        collect_receives=True,
     )
+    run = run_spec(spec)
+    if raise_on_budget and not run.terminated:
+        raise NonTerminationError(spec.max_rounds)
     return FloodingRun(
         graph=graph,
         sources=run.sources,
@@ -317,13 +324,9 @@ def simulate_reference(
 
 def termination_round(graph: Graph, source: Node) -> int:
     """The round in which amnesiac flooding from ``source`` terminates."""
-    return simulate_indexed(
-        graph, [source], collect_senders=False, collect_receives=False
-    ).termination_round
+    return run_spec(FloodSpec(graph=graph, sources=(source,))).termination_round
 
 
 def message_complexity(graph: Graph, source: Node) -> int:
     """Total messages amnesiac flooding from ``source`` sends."""
-    return simulate_indexed(
-        graph, [source], collect_senders=False, collect_receives=False
-    ).total_messages
+    return run_spec(FloodSpec(graph=graph, sources=(source,))).total_messages

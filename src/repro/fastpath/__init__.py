@@ -34,8 +34,9 @@ message-passing engine.
 
 Entry points:
 
-* :func:`simulate_indexed` -- one flood, full statistics
-  (:func:`repro.core.amnesiac.simulate` delegates here);
+* :func:`run_spec` -- one flood from a
+  :class:`~repro.api.spec.FloodSpec` (:func:`repro.core.amnesiac.simulate`
+  delegates here);
 * :func:`sweep` -- many floods over one graph, indexing amortised,
   light statistics (powers ``all_pairs_termination`` and the scaling
   benchmarks); :func:`repro.parallel.parallel_sweep` is its sharded
@@ -74,7 +75,6 @@ from repro.fastpath.engine import (
     routed_sweep_backend,
     run_spec,
     select_backend,
-    simulate_indexed,
     step_arc_mask,
     sweep,
     sweep_specs,
@@ -132,7 +132,6 @@ __all__ = [
     "routed_sweep_backend",
     "run_spec",
     "select_backend",
-    "simulate_indexed",
     "step_arc_mask",
     "sweep",
     "sweep_specs",

@@ -1,4 +1,4 @@
-"""Backend dispatch, ``simulate_indexed``, batch ``sweep`` and arc-mask orbits.
+"""Backend dispatch, ``run_spec``, batch ``sweep`` and arc-mask orbits.
 
 This module is the public face of the fast path.  It validates inputs
 with the same errors as the reference simulators, picks a backend, and
@@ -51,7 +51,7 @@ from typing import (
 )
 
 from repro.api.spec import BatchKey, FloodSpec
-from repro.errors import ConfigurationError, NonTerminationError
+from repro.errors import ConfigurationError
 from repro.fastpath import bitset_oracle, numpy_backend, oracle_backend, pure_backend
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.variants import VariantSpec, run_variant, variant_backend
@@ -394,13 +394,13 @@ def _require_fastpath_spec(spec: FloodSpec) -> None:
 def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRun:
     """One flood from a validated :class:`FloodSpec`, serially.
 
-    The spec-native core behind :func:`simulate_indexed` (which is now
-    a shim constructing a spec) and ``FloodSession.run``.  Backend
-    resolution for a single run never consults the rounds probe --
-    probing costs cover-BFS passes that only amortise across a batch --
-    so ``backend=None`` auto-selects a frontier engine exactly like the
-    legacy single-run path.  Pass ``index`` to reuse a prebuilt
-    :class:`IndexedGraph`.
+    The single-run core behind :func:`repro.core.amnesiac.simulate` and
+    ``FloodSession.run``.  Backend resolution for a single run never
+    consults the rounds probe -- probing costs cover-BFS passes that
+    only amortise across a batch -- so ``backend=None`` auto-selects a
+    frontier engine.  A ``variant`` spec runs its stochastic/memory
+    stepper on the stream ``spec.run_key()``.  Pass ``index`` to reuse
+    a prebuilt :class:`IndexedGraph`.
     """
     _require_fastpath_spec(spec)
     if index is None:
@@ -412,46 +412,6 @@ def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRu
         chosen = select_backend(index, spec.backend)
     raw = _dispatch(index, source_ids, spec.batch_key(chosen), spec.run_key())
     return wrap_raw_run(index, source_ids, chosen, raw, spec.variant)
-
-
-def simulate_indexed(
-    graph: Graph,
-    sources: Iterable[Node],
-    max_rounds: Optional[int] = None,
-    raise_on_budget: bool = False,
-    backend: Optional[str] = None,
-    collect_senders: bool = True,
-    collect_receives: bool = True,
-    index: Optional[IndexedGraph] = None,
-    variant: Optional[VariantSpec] = None,
-) -> IndexedRun:
-    """Fast exact amnesiac flooding on the CSR index.
-
-    Mirrors :func:`repro.core.amnesiac.simulate` (which delegates
-    here), including validation errors and budget semantics; pass
-    ``index`` to reuse a prebuilt :class:`IndexedGraph` across calls.
-    A ``variant`` spec runs the stochastic/memory stepper instead of
-    the deterministic process (as run 0 of its seed stream -- sweeps
-    give later positions to later runs).
-
-    This is a shim over the declarative request path: it constructs a
-    :class:`~repro.api.spec.FloodSpec` and delegates to
-    :func:`run_spec`, so the kwargs and the spec pipelines cannot
-    drift.
-    """
-    spec = FloodSpec(
-        graph=graph,
-        sources=tuple(sources),
-        max_rounds=max_rounds,
-        backend=backend,
-        variant=variant,
-        collect_senders=collect_senders,
-        collect_receives=collect_receives,
-    )
-    run = run_spec(spec, index=index)
-    if not run.terminated and raise_on_budget:
-        raise NonTerminationError(spec.max_rounds)
-    return run
 
 
 def routed_sweep_backend(

@@ -22,16 +22,11 @@ REP102    ``await`` between future registration and settlement guard
 REP103    blocking calls (``time.sleep``, file I/O...) in ``async def``
 ========  ===========================================================
 
-Plus the *project* rules, which run once per tree against a
-:class:`~repro.lint.project.ProjectContext` (``--project``, default on
-for directory targets):
-
-========  ===========================================================
-REP201    ``FloodSpec`` fields outside ``digest()`` + ``DIGEST_EXCLUDED``
-REP202    digest fields outside ``batch_key()`` + ``BATCH_KEY_EXCLUDED``
-REP301    scenarios/backends missing from the equivalence matrix
-REP302    trajectory bench families without a ``BENCH_fastpath.json`` row
-========  ===========================================================
+Contracts that span modules -- every ``FloodSpec`` field reaching the
+digest, every scenario and backend inside the equivalence matrix, every
+trajectory bench family holding a committed row -- are not lint rules:
+tier-1 tests check them at runtime, by behaviour (the table in
+``docs/static-analysis.md`` names each test).
 
 Usage::
 
@@ -46,37 +41,16 @@ historical bug each rule encodes live in ``docs/determinism.md`` and
 """
 
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.project import (
-    ProjectContext,
-    build_project,
-    find_project_root,
-    lint_project,
-)
-from repro.lint.registry import (
-    ProjectRule,
-    Rule,
-    all_project_rules,
-    all_rules,
-    register_project_rule,
-    register_rule,
-    rule_docs,
-)
+from repro.lint.registry import Rule, all_rules, register_rule, rule_docs
 from repro.lint.walker import lint_files, lint_paths, lint_source
 
 __all__ = [
     "Finding",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
-    "all_project_rules",
     "all_rules",
-    "build_project",
-    "find_project_root",
     "lint_files",
     "lint_paths",
-    "lint_project",
     "lint_source",
-    "register_project_rule",
     "register_rule",
     "rule_docs",
     "sort_findings",

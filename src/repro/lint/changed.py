@@ -1,13 +1,10 @@
 """``--changed-only``: scope the file pass to what git says moved.
 
 The pre-commit hook runs the analyzer on every commit; linting the
-whole tree there is wasted latency when the determinism rules are
-per-file.  This module asks git for the working-tree delta -- files
-changed against ``HEAD`` plus untracked files -- and the CLI restricts
-the *file* rules to that set.  The *project* rules always run in full:
-their whole point is cross-module contracts, and a digest-coverage
-hole introduced by editing ``spec.py`` must surface even when the
-matrix files did not change.
+whole tree there is wasted latency when every rule is per-file.  This
+module asks git for the working-tree delta -- files changed against
+``HEAD`` plus untracked files -- and the CLI restricts the rules to
+that set.
 
 Scoping is a filter, never a discovery mechanism: the changed set is
 intersected with the files the path arguments already selected, so

@@ -1,11 +1,7 @@
 """The ``python -m repro.lint`` command line.
 
-Two passes: the *file* pass runs the per-file AST rules over every
-discovered ``.py`` file, and the *project* pass (``--project``, on by
-default when any target is a directory) builds one
-:class:`~repro.lint.project.ProjectContext` and runs the cross-module
-contract rules against it.  ``--changed-only`` scopes the file pass to
-git's working-tree delta while the project pass stays whole-tree.
+Runs the per-file AST rules over every discovered ``.py`` file;
+``--changed-only`` scopes the run to git's working-tree delta.
 
 Exit codes follow the convention of the other gates in this repo:
 
@@ -18,14 +14,11 @@ Exit codes follow the convention of the other gates in this repo:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional, Sequence
 
 from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.changed import ChangedOnlyError, restrict_to_changed
-from repro.lint.findings import sort_findings
-from repro.lint.project import lint_project
 from repro.lint.registry import known_rule_ids, rule_docs
 from repro.lint.report import (
     render_github,
@@ -48,9 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based determinism and cross-process-safety analyzer for "
-            "the flooding reproduction (file rules REP001-REP103, project "
-            "rules REP201-REP302; see docs/determinism.md and "
-            "docs/static-analysis.md)"
+            "the flooding reproduction (rules REP001-REP103; see "
+            "docs/determinism.md and docs/static-analysis.md)"
         ),
     )
     parser.add_argument(
@@ -67,27 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to one rule id (repeatable)",
     )
     parser.add_argument(
-        "--project",
-        dest="project",
-        action="store_true",
-        default=None,
-        help=(
-            "run the cross-module project rules too "
-            "(default: on when any target is a directory)"
-        ),
-    )
-    parser.add_argument(
-        "--no-project",
-        dest="project",
-        action="store_false",
-        help="skip the project rules",
-    )
-    parser.add_argument(
         "--changed-only",
         action="store_true",
         help=(
-            "file pass: only files git reports changed vs HEAD (plus "
-            "untracked); the project pass still sees the whole tree"
+            "only files git reports changed vs HEAD (plus untracked)"
         ),
     )
     parser.add_argument(
@@ -123,8 +98,7 @@ def _list_rules() -> str:
     lines = []
     for doc in rule_docs():
         scope = f" [scope: {', '.join(doc.scope)}]" if doc.scope else ""
-        kind = " [project]" if doc.kind == "project" else ""
-        lines.append(f"{doc.rule_id}  {doc.name}: {doc.summary}{kind}{scope}")
+        lines.append(f"{doc.rule_id}  {doc.name}: {doc.summary}{scope}")
     return "\n".join(lines) + "\n"
 
 
@@ -145,9 +119,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"known rules: {', '.join(known)}\n"
             )
             return 2
-    project_enabled = options.project
-    if project_enabled is None:
-        project_enabled = any(os.path.isdir(path) for path in options.paths)
     try:
         files = discover_files(options.paths)
     except (FileNotFoundError, OSError) as exc:
@@ -164,10 +135,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"repro.lint: {exc}\n")
         return 2
-    if project_enabled:
-        findings = sort_findings(
-            findings + lint_project(options.paths, rules)
-        )
     if options.write_baseline:
         write_baseline(options.write_baseline, findings)
         sys.stderr.write(

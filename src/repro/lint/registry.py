@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.findings import Finding
-
-if TYPE_CHECKING:
-    from repro.lint.project import ProjectContext
 
 
 @dataclass(frozen=True)
@@ -75,33 +72,9 @@ def _prefix_matches(prefix: str, module_path: str) -> bool:
     return module_path == prefix or module_path.startswith(prefix.rstrip("/") + "/")
 
 
-ProjectCheckFn = Callable[["ProjectContext"], Iterable[Finding]]
-
-
-@dataclass(frozen=True)
-class ProjectRule:
-    """A rule that runs once per project, against a :class:`ProjectContext`.
-
-    Unlike :class:`Rule`, which sees one file's AST at a time, a
-    project rule sees the whole-tree context (per-module ASTs, the
-    import graph, the extracted registries) and emits findings that may
-    attach to any file in the project -- ``src/``, ``tests/`` or
-    ``benchmarks/``.  Project rules have no path scope: the context
-    itself is the scope.
-    """
-
-    rule_id: str
-    name: str
-    summary: str
-    check: ProjectCheckFn
-
-
 _RULES: Dict[str, Rule] = {}
 # repro-lint note: module-level registry by design -- populated once at
 # import time by repro.lint.rules; repro/lint is outside REP007 scope.
-
-_PROJECT_RULES: Dict[str, ProjectRule] = {}
-# repro-lint note: same write-once registry pattern as _RULES.
 
 # The suppression-hygiene pseudo-rule: emitted by the walker itself when
 # a disable comment carries no justification.  It has an id so reports
@@ -112,28 +85,12 @@ SUPPRESSION_RULE_ID = "REP000"
 
 def register_rule(rule: Rule) -> Rule:
     """Add ``rule`` to the registry (duplicate ids are a programming error)."""
-    if rule.rule_id in _RULES or rule.rule_id in _PROJECT_RULES:
+    if rule.rule_id in _RULES:
         raise ValueError(f"duplicate rule id {rule.rule_id!r}")
     if rule.rule_id == SUPPRESSION_RULE_ID:
         raise ValueError(f"{SUPPRESSION_RULE_ID} is reserved for suppression hygiene")
     _RULES[rule.rule_id] = rule
     return rule
-
-
-def register_project_rule(rule: ProjectRule) -> ProjectRule:
-    """Add a project-level rule (ids share one namespace with file rules)."""
-    if rule.rule_id in _RULES or rule.rule_id in _PROJECT_RULES:
-        raise ValueError(f"duplicate rule id {rule.rule_id!r}")
-    if rule.rule_id == SUPPRESSION_RULE_ID:
-        raise ValueError(f"{SUPPRESSION_RULE_ID} is reserved for suppression hygiene")
-    _PROJECT_RULES[rule.rule_id] = rule
-    return rule
-
-
-def all_project_rules() -> List[ProjectRule]:
-    """Every registered project rule, sorted by id (the only order)."""
-    _ensure_builtin_rules()
-    return [_PROJECT_RULES[rule_id] for rule_id in sorted(_PROJECT_RULES)]
 
 
 def all_rules() -> List[Rule]:
@@ -150,7 +107,7 @@ def get_rule(rule_id: str) -> Optional[Rule]:
 def known_rule_ids() -> List[str]:
     """All ids a suppression or ``--rule`` filter may name (incl. REP000)."""
     _ensure_builtin_rules()
-    return sorted([SUPPRESSION_RULE_ID, *_RULES, *_PROJECT_RULES])
+    return sorted([SUPPRESSION_RULE_ID, *_RULES])
 
 
 def _ensure_builtin_rules() -> None:
@@ -161,17 +118,12 @@ def _ensure_builtin_rules() -> None:
 
 @dataclass
 class RuleDoc:
-    """Presentation metadata for ``--list-rules`` and the docs table.
-
-    ``kind`` is ``"file"`` for per-file AST rules and ``"project"`` for
-    rules that run once per project against the whole-tree context.
-    """
+    """Presentation metadata for ``--list-rules`` and the docs table."""
 
     rule_id: str
     name: str
     summary: str
     scope: Tuple[str, ...] = field(default_factory=tuple)
-    kind: str = "file"
 
 
 def rule_docs() -> List[RuleDoc]:
@@ -186,8 +138,4 @@ def rule_docs() -> List[RuleDoc]:
         RuleDoc(rule.rule_id, rule.name, rule.summary, rule.scope)
         for rule in all_rules()
     )
-    docs.extend(
-        RuleDoc(rule.rule_id, rule.name, rule.summary, kind="project")
-        for rule in all_project_rules()
-    )
-    return sorted(docs, key=lambda d: d.rule_id)
+    return docs

@@ -18,8 +18,4 @@ from repro.lint.rules import (  # noqa: F401
     rep101_unsettled_futures,
     rep102_await_in_window,
     rep103_blocking_async,
-    rep201_digest_coverage,
-    rep202_batch_key_coverage,
-    rep301_matrix_coverage,
-    rep302_bench_coverage,
 )

@@ -19,10 +19,12 @@ all cores:
 * :class:`SweepPool` -- the reusable serving shape: one pool of warm
   workers per graph, many batches through it.  Its async hooks
   (:meth:`~repro.parallel.pool.SweepPool.sweep_async` /
-  :meth:`~repro.parallel.pool.SweepPool.submit_ids`) return
-  :class:`concurrent.futures.Future` s and are what the query service
-  (:mod:`repro.service`) drives; :func:`serial_sweep_ids` is the same
-  post-validation loop without processes (the service's 1-core mode).
+  :meth:`~repro.parallel.pool.SweepPool.submit_batch`) return
+  :class:`concurrent.futures.Future` s, and ``submit_batch`` -- id
+  lists under one :class:`~repro.api.spec.BatchKey` -- is what the
+  query service (:mod:`repro.service`) drives; :func:`serial_batch_ids`
+  is the same post-validation loop without processes (the service's
+  1-core mode).
 * :func:`repro.parallel.census.classify_masks` -- the same sharding
   for the configuration census's orbit detections; its sibling
   :func:`repro.parallel.census.receipt_counts` batches per-node
@@ -48,7 +50,6 @@ from repro.parallel.pool import (
     default_chunksize,
     parallel_sweep,
     serial_batch_ids,
-    serial_sweep_ids,
     worker_count,
 )
 
@@ -62,6 +63,5 @@ __all__ = [
     "parallel_sweep",
     "receipt_counts",
     "serial_batch_ids",
-    "serial_sweep_ids",
     "worker_count",
 ]

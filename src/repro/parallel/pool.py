@@ -242,9 +242,8 @@ class SweepPool:
         in the parent, so errors surface before any work is
         dispatched), including the probe-aware ``backend=None`` routing
         and the ``variant`` stepper lane with its per-position seed
-        streams.  A legacy shim over the spec pipeline: the kwargs
-        resolve to one :class:`BatchKey` exactly like a
-        :meth:`sweep_specs` batch.
+        streams.  The kwargs resolve to one :class:`BatchKey` exactly
+        like a :meth:`sweep_specs` batch.
         """
         id_lists = [
             self.index.resolve_sources(sources) for sources in source_sets
@@ -397,25 +396,6 @@ class SweepPool:
         )
         return future
 
-    def submit_ids(
-        self,
-        id_lists: Sequence[List[int]],
-        budget: int,
-        backend: str,
-        chunksize: Optional[int] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-        variant: Optional[VariantSpec] = None,
-        run_keys: Optional[Sequence[int]] = None,
-    ) -> "Future[List[IndexedRun]]":
-        """Legacy-signature shim over :meth:`submit_batch`."""
-        return self.submit_batch(
-            id_lists,
-            BatchKey(budget, backend, collect_senders, collect_receives, variant),
-            chunksize,
-            run_keys,
-        )
-
     def _make_tasks(
         self,
         id_lists: Sequence[List[int]],
@@ -521,25 +501,6 @@ def serial_batch_ids(
         run_keys = _variant_run_keys(key.variant, len(id_lists))
     raw_runs = dispatch_batch(index, id_lists, key, run_keys)
     return _wrap_runs(index, id_lists, raw_runs, key)
-
-
-def serial_sweep_ids(
-    index: IndexedGraph,
-    id_lists: Sequence[List[int]],
-    budget: int,
-    backend: str,
-    collect_senders: bool = False,
-    collect_receives: bool = False,
-    variant: Optional[VariantSpec] = None,
-    run_keys: Optional[Sequence[int]] = None,
-) -> List[IndexedRun]:
-    """Legacy-signature shim over :func:`serial_batch_ids`."""
-    return serial_batch_ids(
-        index,
-        id_lists,
-        BatchKey(budget, backend, collect_senders, collect_receives, variant),
-        run_keys,
-    )
 
 
 def parallel_sweep(

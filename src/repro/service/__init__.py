@@ -5,8 +5,10 @@ multi-core sweep machinery (:mod:`repro.parallel`) behind an asyncio
 front-end so many concurrent callers share warm workers, batch
 naturally, and degrade gracefully under load.
 
-* :class:`FloodService` -- the front-end: ``await service.query(graph,
-  sources)`` / ``query_batch``, micro-batching of concurrent requests,
+* :class:`FloodService` -- the front-end: ``await
+  service.query_spec(spec)`` / ``query_batch_specs(specs)`` on
+  :class:`~repro.api.spec.FloodSpec` requests, micro-batching of
+  concurrent requests,
   bounded-queue backpressure (:class:`QueueFull` or FIFO waiting,
   caller's choice), per-request round budgets and timeouts
   (:class:`QueryTimeout`), per-topology registration/caching, and
@@ -20,7 +22,7 @@ naturally, and degrade gracefully under load.
   :class:`repro.errors.ReproError`).
 
 Every result is bit-identical to a direct serial
-:func:`repro.fastpath.sweep` of the same request, for every worker
+:func:`repro.fastpath.sweep_specs` of the same request, for every worker
 count, batching window and interleaving -- the determinism contract
 the sweep pool established, now held at the service boundary
 (``tests/service/`` asserts it).

@@ -2,15 +2,15 @@
 
 :class:`FloodService` turns the batch-shaped sweep machinery into a
 low-latency query service: concurrent callers ``await
-service.query(graph, sources)`` and the service coalesces their
+service.query_spec(spec)`` and the service coalesces their
 requests into sharded batches over warm :class:`~repro.parallel.SweepPool`
 workers, with bounded-queue backpressure, per-request round budgets
 and timeouts, per-topology caching and rounds-aware backend routing.
 
 Dataflow (one request's life)::
 
-    caller ──await query()──► FloodSpec built + validated (errors raise here)
-                              route backend (probe cache)
+    caller ──FloodSpec()───►  validated at construction (errors raise here)
+    caller ──query_spec()──►  route backend (probe cache)
                               admit: bounded pending gate ── full? ──► QueueFull
                                                                   or await slot
                               micro-batcher bucket keyed by the spec's
@@ -20,18 +20,17 @@ Dataflow (one request's life)::
     caller ◄──IndexedRun────  distribute batch results to request futures,
                               release admission slots
 
-Requests are :class:`~repro.api.spec.FloodSpec` values end-to-end:
-``query``/``query_batch`` are kwargs shims that construct specs and
-delegate to :meth:`FloodService.query_spec` /
-:meth:`FloodService.query_batch_specs`, and the micro-batch buckets are
-keyed by ``(graph entry, spec.batch_key(backend))`` -- the same frozen
+Requests are :class:`~repro.api.spec.FloodSpec` values end-to-end --
+:meth:`FloodService.query_spec` for one,
+:meth:`FloodService.query_batch_specs` for a caller-shaped batch -- and
+the micro-batch buckets are keyed by ``(graph entry,
+spec.batch_key(backend))`` -- the same frozen
 :class:`~repro.api.spec.BatchKey` object the pool ships in its task
 tuples, replacing the ad-hoc key tuples each layer used to maintain.
 
-Determinism contract: the result a caller gets for ``(graph, sources,
-max_rounds, backend)`` is **bit-identical** to
-``repro.fastpath.sweep(graph, [sources], ...)`` -- for every worker
-count, batching window, and interleaving of concurrent callers.
+Determinism contract: the result a caller gets for a spec is
+**bit-identical** to ``repro.fastpath.sweep_specs([spec])`` -- for every
+worker count, batching window, and interleaving of concurrent callers.
 Batching and sharding change scheduling, never content: requests keep
 arrival order inside a batch, the pool streams results back in input
 order, and routing is a pure function of (graph, budget), not of load.
@@ -48,7 +47,6 @@ from typing import (
     Any,
     Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -62,8 +60,7 @@ from repro.cache.lru import CacheStats, ResultCache
 from repro.errors import ConfigurationError
 from repro.fastpath.engine import IndexedRun
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.variants import VariantSpec
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Graph
 from repro.parallel.pool import SweepPool, serial_batch_ids, worker_count
 from repro.service.batcher import MicroBatcher
 from repro.service.errors import QueryTimeout, QueueFull, ServiceClosed, ServiceError
@@ -300,8 +297,8 @@ class FloodService:
 
         async with FloodService(workers=4) as service:
             service.register(graph)               # optional warm-up
-            run = await service.query(graph, [source])
-            runs = await service.query_batch(graph, many_sets)
+            run = await service.query_spec(FloodSpec(graph, (source,)))
+            runs = await service.query_batch_specs(many_specs)
     """
 
     def __init__(
@@ -420,7 +417,7 @@ class FloodService:
         query.  This call **blocks** while the pool forks and warms --
         that is its purpose (move the warm-up off the first request's
         latency); call it from setup code, not from a latency-sensitive
-        coroutine.  ``query``/``query_batch`` auto-register unseen
+        coroutine.  ``query_spec``/``query_batch_specs`` auto-register unseen
         graphs too, building the pool off-loop so concurrent callers
         keep flowing.
         """
@@ -558,50 +555,6 @@ class FloodService:
 
     # -- queries -------------------------------------------------------
 
-    async def query(
-        self,
-        graph: Graph,
-        sources: Iterable[Node],
-        *,
-        max_rounds: Optional[int] = None,
-        backend: Optional[str] = None,
-        variant: Optional[VariantSpec] = None,
-        timeout: Any = _UNSET,
-        on_full: Optional[str] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-    ) -> IndexedRun:
-        """One flood query; coalesced with concurrent callers' requests.
-
-        Validation (unknown nodes, bad budgets/backends) raises
-        immediately; admission applies backpressure per ``on_full``;
-        the result is bit-identical to a serial
-        ``sweep(graph, [sources], ...)`` run of the same request.
-
-        A ``variant`` spec (:mod:`repro.fastpath.variants`) runs the
-        stochastic/memory stepper instead of the deterministic
-        process.  The query's randomness is owned entirely by
-        ``variant.seed`` (it runs as position 0 of that stream) --
-        identical requests return identical results no matter how they
-        were coalesced; Monte-Carlo callers vary the seed per trial or
-        use :meth:`query_batch`.  Stochastic requests never route to
-        the oracle.
-
-        A legacy shim: the kwargs become a
-        :class:`~repro.api.spec.FloodSpec` (validated at construction)
-        and the call delegates to :meth:`query_spec`.
-        """
-        spec = FloodSpec(
-            graph=graph,
-            sources=tuple(sources),
-            max_rounds=max_rounds,
-            backend=backend,
-            variant=variant,
-            collect_senders=collect_senders,
-            collect_receives=collect_receives,
-        )
-        return await self.query_spec(spec, timeout=timeout, on_full=on_full)
-
     async def query_spec(
         self,
         spec: FloodSpec,
@@ -611,11 +564,11 @@ class FloodService:
     ) -> IndexedRun:
         """One flood query from a validated :class:`FloodSpec`.
 
-        The spec-native core of :meth:`query`: the spec was validated
-        at construction, so the service only routes it, admits it, and
-        buckets it under ``(entry, spec.batch_key(backend))`` --
-        equal specs (and kwarg queries that canonicalise to them)
-        coalesce into the same pool batch.  The request runs on the RNG
+        Validation (unknown nodes, bad budgets/backends) already
+        happened at spec construction; admission applies backpressure
+        per ``on_full``.  The service routes the spec, admits it, and
+        buckets it under ``(entry, spec.batch_key(backend))`` -- equal
+        specs coalesce into the same pool batch.  The request runs on the RNG
         stream ``derive_key(variant.seed, spec.stream)``, derived here
         per *request* so coalescing can never move a query between
         streams.
@@ -715,48 +668,6 @@ class FloodService:
             pending.set_exception(exc)
             _consume_outcome(pending)
 
-    async def query_batch(
-        self,
-        graph: Graph,
-        source_sets: Iterable[Iterable[Node]],
-        *,
-        max_rounds: Optional[int] = None,
-        backend: Optional[str] = None,
-        variant: Optional[VariantSpec] = None,
-        timeout: Any = _UNSET,
-        on_full: Optional[str] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-    ) -> List[IndexedRun]:
-        """A caller-shaped batch: dispatched whole, skipping the window.
-
-        The batch admits atomically (all ``n`` slots or backpressure),
-        goes straight to the pool as one sharded sweep, and returns
-        runs in input order -- bit-identical to the serial sweep of the
-        same source sets.  With a ``variant``, position ``i`` of the
-        batch runs on the stream ``derive_key(variant.seed, i)`` --
-        exactly ``sweep(graph, source_sets, variant=variant)``.
-
-        A legacy shim over :meth:`query_batch_specs`: source set ``i``
-        becomes a spec at stream ``i``.
-        """
-        specs = [
-            FloodSpec(
-                graph=graph,
-                sources=tuple(sources),
-                max_rounds=max_rounds,
-                backend=backend,
-                variant=variant,
-                stream=position if variant is not None else 0,
-                collect_senders=collect_senders,
-                collect_receives=collect_receives,
-            )
-            for position, sources in enumerate(source_sets)
-        ]
-        return await self.query_batch_specs(
-            specs, timeout=timeout, on_full=on_full
-        )
-
     async def query_batch_specs(
         self,
         specs: Sequence[FloodSpec],
@@ -768,8 +679,10 @@ class FloodService:
 
         The specs must agree on graph and execution-relevant fields
         (:func:`~repro.fastpath.engine.ensure_homogeneous_specs`); each
-        runs on its own spec's RNG stream.  Results come back in input
-        order, bit-identical to ``sweep_specs`` of the same batch.
+        runs on its own spec's RNG stream.  The batch admits atomically
+        (all ``n`` slots or backpressure) and skips the micro-batch
+        window.  Results come back in input order, bit-identical to
+        ``sweep_specs`` of the same batch.
 
         With a result cache the batch is *partitioned*: positions whose
         blob is stored are served from it, positions identical to an

@@ -1,14 +1,13 @@
-"""The facade equivalence matrix: spec pipeline == legacy kwargs pipeline.
+"""The facade equivalence matrix: the session == every lower tier.
 
-The acceptance bar of the ``repro.api`` redesign: for every backend x
-variant x budget combination the repo's equivalence matrix already
-covers, ``FloodSession.run`` / ``sweep`` / ``aquery`` must return
-results **bit-identical** to the legacy entry points they subsume --
-``simulate_indexed`` (and ``core.simulate``), ``fastpath.sweep``,
-``parallel_sweep`` and ``FloodService.query``/``query_batch``.  The
-legacy entry points themselves are shims over the spec pipeline now,
-so these tests also pin that the shims reproduce the historical
-behaviour (position-keyed variant streams included).
+For every backend x variant x budget combination, ``FloodSession.run``
+/ ``sweep`` / ``aquery`` must return results **bit-identical** to the
+tiers underneath them -- ``fastpath.run_spec`` (and ``core.simulate``),
+``fastpath.sweep_specs`` and the kwargs ``fastpath.sweep``,
+``parallel_sweep``, and ``FloodService.query_spec`` /
+``query_batch_specs``.  The backend axis is parametrized from
+``available_backends()`` (plus ``None``, auto-selection), so a newly
+registered backend joins the matrix by construction.
 """
 
 import asyncio
@@ -18,13 +17,14 @@ import pytest
 from repro.api import FloodSession, FloodSpec
 from repro.core import simulate
 from repro.fastpath import (
+    available_backends,
     bernoulli_loss,
     k_memory,
-    simulate_indexed,
+    run_spec,
     sweep,
+    sweep_specs,
     thinning,
 )
-from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import parallel_sweep
 from repro.service import FloodService
@@ -34,7 +34,7 @@ GRAPHS = {
     "c9": cycle_graph(9),
 }
 
-BACKENDS = [None, "pure", "oracle"] + (["numpy"] if HAS_NUMPY else [])
+BACKENDS = [None, *available_backends()]
 VARIANTS = {
     "det": None,
     "thin": thinning(0.7, seed=11),
@@ -66,18 +66,11 @@ MATRIX = list(combos())
 
 @pytest.mark.parametrize("graph_name,backend,variant,budget", MATRIX)
 class TestRunEquivalence:
-    def test_session_run_equals_simulate_indexed(
+    def test_session_run_equals_run_spec(
         self, graph_name, backend, variant, budget
     ):
         graph = GRAPHS[graph_name]
         source = graph.nodes()[0]
-        legacy = simulate_indexed(
-            graph,
-            [source],
-            max_rounds=budget,
-            backend=backend,
-            variant=variant,
-        )
         spec = FloodSpec(
             graph=graph,
             sources=(source,),
@@ -87,24 +80,25 @@ class TestRunEquivalence:
             collect_senders=True,
             collect_receives=True,
         )
+        direct = run_spec(spec)
         with FloodSession(workers=0) as session:
             result = session.run(spec)
-        assert result.raw == legacy
-        assert result.backend == legacy.backend
-        assert result.terminated == legacy.terminated
-        assert result.termination_round == legacy.termination_round
-        assert result.total_messages == legacy.total_messages
-        assert result.round_edge_counts == legacy.round_edge_counts
+        assert result.raw == direct
+        assert result.backend == direct.backend
+        assert result.terminated == direct.terminated
+        assert result.termination_round == direct.termination_round
+        assert result.total_messages == direct.total_messages
+        assert result.round_edge_counts == direct.round_edge_counts
 
 
 @pytest.mark.parametrize("graph_name,backend,variant,budget", MATRIX)
 class TestSweepEquivalence:
-    def test_session_sweep_equals_legacy_sweep(
+    def test_session_sweep_equals_sweep_specs_and_sweep(
         self, graph_name, backend, variant, budget
     ):
         graph = GRAPHS[graph_name]
         sets = [[v] for v in graph.nodes()[:6]] + [list(graph.nodes()[:2])]
-        legacy = sweep(
+        kwargs_runs = sweep(
             graph, sets, max_rounds=budget, backend=backend, variant=variant
         )
         specs = [
@@ -114,13 +108,14 @@ class TestSweepEquivalence:
                 max_rounds=budget,
                 backend=backend,
                 variant=variant,
-                stream=position if variant is not None else 0,
+                stream=position,
             )
             for position, sources in enumerate(sets)
         ]
         with FloodSession(workers=0) as session:
             results = session.sweep(specs)
-        assert [r.raw for r in results] == legacy
+        assert [r.raw for r in results] == sweep_specs(specs)
+        assert [r.raw for r in results] == kwargs_runs
 
 
 class TestSweepAcrossTiers:
@@ -143,7 +138,7 @@ class TestSweepAcrossTiers:
                 sources=tuple(sources),
                 max_rounds=60,
                 variant=variant,
-                stream=position if variant is not None else 0,
+                stream=position,
             )
             for position, sources in enumerate(sets)
         ]
@@ -185,61 +180,52 @@ class TestSweepAcrossTiers:
 
 class TestServiceEquivalence:
     @pytest.mark.parametrize("graph_name,backend,variant,budget", MATRIX)
-    def test_aquery_equals_legacy_service_query(
+    def test_aquery_equals_service_query_spec(
         self, graph_name, backend, variant, budget
     ):
         graph = GRAPHS[graph_name]
-        source = graph.nodes()[0]
+        spec = FloodSpec(
+            graph=graph,
+            sources=(graph.nodes()[0],),
+            max_rounds=budget,
+            backend=backend,
+            variant=variant,
+        )
 
         async def main():
             async with FloodService(workers=0) as service:
-                legacy = await service.query(
-                    graph,
-                    [source],
-                    max_rounds=budget,
-                    backend=backend,
-                    variant=variant,
-                )
+                served = await service.query_spec(spec)
             async with FloodSession(workers=0) as session:
-                result = await session.aquery(
-                    FloodSpec(
-                        graph=graph,
-                        sources=(source,),
-                        max_rounds=budget,
-                        backend=backend,
-                        variant=variant,
-                    )
-                )
-            return legacy, result
+                result = await session.aquery(spec)
+            return served, result
 
-        legacy, result = asyncio.run(main())
-        assert result.raw == legacy
+        served, result = asyncio.run(main())
+        assert result.raw == served
 
-    def test_query_batch_specs_equals_query_batch(self):
+    def test_query_batch_specs_equals_sweep_specs(self):
         graph = GRAPHS["er40"]
-        sets = [[v] for v in graph.nodes()[:5]]
         variant = bernoulli_loss(0.2, seed=4)
+        specs = [
+            FloodSpec(
+                graph=graph,
+                sources=(node,),
+                max_rounds=80,
+                variant=variant,
+                stream=position,
+            )
+            for position, node in enumerate(graph.nodes()[:5])
+        ]
 
         async def main():
             async with FloodService(workers=0) as service:
-                legacy = await service.query_batch(
-                    graph, sets, max_rounds=80, variant=variant
-                )
-                specs = [
-                    FloodSpec(
-                        graph=graph,
-                        sources=tuple(sources),
-                        max_rounds=80,
-                        variant=variant,
-                        stream=position,
-                    )
-                    for position, sources in enumerate(sets)
-                ]
-                fresh = await service.query_batch_specs(specs)
-            return legacy, fresh
+                return await service.query_batch_specs(specs)
 
-        legacy, fresh = asyncio.run(main())
-        assert fresh == legacy
+        served = asyncio.run(main())
+        assert served == sweep_specs(specs)
+        assert served == sweep(
+            graph, [spec.sources for spec in specs], max_rounds=80,
+            variant=variant,
+        )
 
     def test_equal_specs_coalesce_into_one_batch(self):
         """The spec IS the micro-batch key: identical concurrent

@@ -43,6 +43,20 @@ class TestConstruction:
         assert hash(a) == hash(b)
         assert a.digest() == b.digest()
 
+    def test_integer_likes_share_one_digest(self):
+        np = pytest.importorskip("numpy")
+        variant = thinning(0.5, seed=3)
+        a = FloodSpec(
+            graph=GRAPH, sources=(0,), max_rounds=np.int64(3),
+            variant=variant, stream=np.int64(2),
+        )
+        b = FloodSpec(
+            graph=GRAPH, sources=(0,), max_rounds=3, variant=variant, stream=2
+        )
+        assert type(a.max_rounds) is int and type(a.stream) is int
+        assert a == b
+        assert a.digest() == b.digest()
+
     def test_deterministic_stream_canonicalised_to_zero(self):
         # Deterministic runs consume no randomness; stream must not
         # split their batches.
@@ -95,7 +109,7 @@ class TestValidationMatrix:
         with pytest.raises(NodeNotFoundError):
             FloodSpec(graph=GRAPH, sources=(99,))
 
-    @pytest.mark.parametrize("bad", [0, -3])
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, "3", True])
     def test_bad_budget(self, bad):
         with pytest.raises(ConfigurationError, match="max_rounds"):
             FloodSpec(graph=GRAPH, sources=(0,), max_rounds=bad)
@@ -175,7 +189,7 @@ class TestValidationMatrix:
         with pytest.raises(ConfigurationError, match="periodic"):
             FloodSpec(graph=GRAPH, sources=(0, 3), scenario="periodic:3")
 
-    @pytest.mark.parametrize("bad", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("bad", [-1, 1.5, "0", 1.0, True])
     def test_bad_stream(self, bad):
         with pytest.raises(ConfigurationError, match="stream"):
             FloodSpec(

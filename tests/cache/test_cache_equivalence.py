@@ -5,7 +5,9 @@ matrix one layer up: across backend x variant x budget x collection
 flags, a result served from the memory tier, decoded by a coalesced
 joiner, or rehydrated from a cold persistent store must equal fresh
 execution field by field -- and a cache-aware sweep over a mixed
-hit/miss batch must reproduce the uncached sweep in input order.
+hit/miss batch must reproduce the uncached sweep in input order.  The
+backend axis comes from ``available_backends()``, so a newly registered
+backend joins the matrix by construction.
 """
 
 import asyncio
@@ -14,11 +16,10 @@ import pytest
 
 from repro.api import FloodSession, FloodSpec, ResultCache
 from repro.cache import DirectoryStore
-from repro.fastpath import thinning
-from repro.fastpath.numpy_backend import HAS_NUMPY
+from repro.fastpath import available_backends, thinning
 from repro.graphs import complete_graph, cycle_graph, paper_triangle
 
-BACKENDS = [None, "pure", "oracle"] + (["numpy"] if HAS_NUMPY else [])
+BACKENDS = [None, *available_backends()]
 
 
 def sources_of(result):

@@ -6,16 +6,18 @@ Amnesiac flooding has three independent implementations:
    paper's model, executed literally;
 2. the set-based reference frontier simulator
    (:func:`repro.core.simulate_reference`);
-3. the CSR fast path (:func:`repro.fastpath.simulate_indexed`), in its
-   pure-Python bitmask and (when importable) numpy arc-array backends
-   -- which also powers the public :func:`repro.core.simulate`.
+3. the CSR fast path (:func:`repro.fastpath.run_spec`), in every
+   backend :func:`repro.fastpath.available_backends` reports -- which
+   also powers the public :func:`repro.core.simulate`.
 
 This suite holds all of them bit-for-bit equal -- termination round,
 terminated flag, per-round directed-message counts, per-round sender
 sets and per-node receive rounds -- on a seeded randomized matrix of
 Erdős–Rényi graphs, cycles, the paper's own figure instances, and
 trees, under single and multiple sources, with and without budget
-cut-offs.
+cut-offs.  The backend axis is parametrized from
+``available_backends()``, so a newly registered backend joins the matrix
+by construction.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import random
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.core import flood_trace, simulate, simulate_reference
-from repro.fastpath import available_backends, simulate_indexed
+from repro.fastpath import available_backends, run_spec
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -40,7 +43,21 @@ from repro.graphs import (
     random_tree,
 )
 
-BACKENDS = available_backends()
+BACKENDS = pytest.mark.parametrize("backend", available_backends())
+
+
+def run_indexed(graph, sources, backend, max_rounds=None):
+    """One fast-path run with full statistics collected."""
+    return run_spec(
+        FloodSpec(
+            graph=graph,
+            sources=tuple(sources),
+            max_rounds=max_rounds,
+            backend=backend,
+            collect_senders=True,
+            collect_receives=True,
+        )
+    )
 
 
 def graph_matrix():
@@ -85,15 +102,13 @@ CASES = [
 ]
 
 
-def assert_runs_agree(graph, sources):
+def assert_runs_agree(graph, sources, backend):
     """All engines agree on every statistic for one (graph, sources)."""
     trace = flood_trace(graph, sources)
     reference = simulate_reference(graph, sources)
-    runs = {"public": simulate(graph, sources)}
-    for backend in BACKENDS:
-        indexed = simulate_indexed(graph, sources, backend=backend)
-        assert indexed.backend == backend
-        runs[backend] = indexed
+    indexed = run_indexed(graph, sources, backend)
+    assert indexed.backend == backend
+    runs = {"public": simulate(graph, sources), backend: indexed}
 
     assert trace.terminated and reference.terminated
     assert reference.termination_round == trace.termination_round
@@ -120,9 +135,10 @@ def assert_runs_agree(graph, sources):
 
 
 class TestFullRunEquivalence:
+    @BACKENDS
     @pytest.mark.parametrize("graph,sources", CASES)
-    def test_engines_agree(self, graph, sources):
-        assert_runs_agree(graph, sources)
+    def test_engines_agree(self, graph, sources, backend):
+        assert_runs_agree(graph, sources, backend)
 
 
 class TestBudgetEquivalence:
@@ -134,6 +150,7 @@ class TestBudgetEquivalence:
     ``min(T, budget)`` rounds on every engine.
     """
 
+    @BACKENDS
     @pytest.mark.parametrize(
         "graph,source",
         [
@@ -143,7 +160,7 @@ class TestBudgetEquivalence:
             pytest.param(grid_graph(3, 3), (0, 0), id="grid-3x3"),
         ],
     )
-    def test_all_budgets(self, graph, source):
+    def test_all_budgets(self, graph, source, backend):
         full = simulate_reference(graph, [source])
         horizon = full.termination_round
         for budget in range(1, horizon + 3):
@@ -161,14 +178,11 @@ class TestBudgetEquivalence:
                 reference.round_edge_counts
                 == trace.per_round_message_counts()
             ), budget
-            for backend in BACKENDS:
-                run = simulate_indexed(
-                    graph, [source], max_rounds=budget, backend=backend
-                )
-                assert run.terminated == expected_terminated, (backend, budget)
-                assert run.termination_round == expected_rounds
-                assert run.round_edge_counts == reference.round_edge_counts
-                assert len(run.sender_ids) == expected_rounds
+            run = run_indexed(graph, [source], backend, max_rounds=budget)
+            assert run.terminated == expected_terminated, budget
+            assert run.termination_round == expected_rounds
+            assert run.round_edge_counts == reference.round_edge_counts
+            assert len(run.sender_ids) == expected_rounds
 
     def test_budget_exactly_at_termination_is_terminated_everywhere(self):
         graph = cycle_graph(7)  # terminates in exactly 7 rounds
@@ -189,7 +203,8 @@ class TestBudgetEquivalence:
 class TestRandomizedSoak:
     """A denser seeded sweep of the cheap statistics only."""
 
-    def test_seeded_random_instances(self):
+    @BACKENDS
+    def test_seeded_random_instances(self, backend):
         rng = random.Random(97)
         for _ in range(25):
             n = rng.randrange(4, 24)
@@ -202,24 +217,23 @@ class TestRandomizedSoak:
             reference = simulate_reference(graph, sources)
             trace = flood_trace(graph, sources)
             assert reference.termination_round == trace.termination_round
-            for backend in BACKENDS:
-                run = simulate_indexed(graph, sources, backend=backend)
-                assert (
-                    run.termination_round,
-                    run.total_messages,
-                    run.round_edge_counts,
-                ) == (
-                    reference.termination_round,
-                    reference.total_messages,
-                    reference.round_edge_counts,
-                )
+            run = run_indexed(graph, sources, backend)
+            assert (
+                run.termination_round,
+                run.total_messages,
+                run.round_edge_counts,
+            ) == (
+                reference.termination_round,
+                reference.total_messages,
+                reference.round_edge_counts,
+            )
 
-    def test_disconnected_and_isolated(self):
+    @BACKENDS
+    def test_disconnected_and_isolated(self, backend):
         graph = Graph.from_edges([(0, 1), (1, 2), (4, 5)], isolated=[9])
         for sources in ([0], [9], [0, 4], [9, 2, 5]):
             reference = simulate_reference(graph, sources)
-            for backend in BACKENDS:
-                run = simulate_indexed(graph, sources, backend=backend)
-                assert run.termination_round == reference.termination_round
-                assert run.receive_rounds() == reference.receive_rounds
-                assert run.terminated
+            run = run_indexed(graph, sources, backend)
+            assert run.termination_round == reference.termination_round
+            assert run.receive_rounds() == reference.receive_rounds
+            assert run.terminated

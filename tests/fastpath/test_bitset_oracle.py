@@ -32,7 +32,7 @@ from repro.api import FloodSession, FloodSpec
 from repro.fastpath import (
     BITSET_MIN_BATCH,
     IndexedGraph,
-    simulate_indexed,
+    run_spec,
     sweep,
 )
 from repro.fastpath import bitset_oracle, engine, oracle_backend
@@ -192,12 +192,8 @@ class TestRunBatchEquivalence:
 class TestRoutedPaths:
     def expected(self, graph, source_sets):
         return [
-            simulate_indexed(
-                graph,
-                sources,
-                backend="oracle",
-                collect_senders=False,
-                collect_receives=False,
+            run_spec(
+                FloodSpec(graph=graph, sources=tuple(sources), backend="oracle")
             )
             for sources in source_sets
         ]
@@ -269,7 +265,9 @@ class TestEligibilityGate:
         source_sets = [[v] for v in range(BITSET_MIN_BATCH - 1)]
         runs = sweep(graph, source_sets, backend="oracle")
         assert [run.termination_round for run in runs] == [
-            simulate_indexed(graph, sources, backend="oracle").termination_round
+            run_spec(
+                FloodSpec(graph=graph, sources=tuple(sources), backend="oracle")
+            ).termination_round
             for sources in source_sets
         ]
 

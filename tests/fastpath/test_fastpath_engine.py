@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.errors import (
     ConfigurationError,
     NodeNotFoundError,
     NonTerminationError,
 )
-from repro.core import simulate_reference
+from repro.core import simulate, simulate_reference
 from repro.fastpath import (
     NUMPY_ARC_THRESHOLD,
     NUMPY_MIN_MEAN_DEGREE,
@@ -16,8 +17,8 @@ from repro.fastpath import (
     available_backends,
     configuration_of_mask,
     evolve_arc_mask,
+    run_spec,
     select_backend,
-    simulate_indexed,
     step_arc_mask,
     sweep,
 )
@@ -31,6 +32,13 @@ from repro.graphs import (
 )
 
 BACKENDS = available_backends()
+
+
+def run_full(graph, sources, **fields):
+    """One fast-path run collecting sender sets and receive rounds."""
+    fields.setdefault("collect_senders", True)
+    fields.setdefault("collect_receives", True)
+    return run_spec(FloodSpec(graph=graph, sources=tuple(sources), **fields))
 
 
 class TestBackendSelection:
@@ -88,18 +96,18 @@ class TestBackendSelection:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            simulate_indexed(cycle_graph(4), [0], backend="cuda")
+            run_full(cycle_graph(4), [0], backend="cuda")
 
     def test_run_reports_backend(self):
         for backend in BACKENDS:
-            run = simulate_indexed(cycle_graph(5), [0], backend=backend)
+            run = run_full(cycle_graph(5), [0], backend=backend)
             assert run.backend == backend
 
 
-class TestSimulateIndexed:
+class TestRunSpec:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_isolated_source(self, backend):
-        run = simulate_indexed(Graph({0: []}), [0], backend=backend)
+        run = run_full(Graph({0: []}), [0], backend=backend)
         assert run.terminated
         assert run.termination_round == 0
         assert run.total_messages == 0
@@ -108,30 +116,24 @@ class TestSimulateIndexed:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_saturation_one_round(self, backend):
         graph = cycle_graph(12)
-        run = simulate_indexed(graph, graph.nodes(), backend=backend)
+        run = run_full(graph, graph.nodes(), backend=backend)
         assert run.termination_round == 1
 
     def test_raise_on_budget(self):
         with pytest.raises(NonTerminationError):
-            simulate_indexed(
-                cycle_graph(9), [0], max_rounds=1, raise_on_budget=True
-            )
+            simulate(cycle_graph(9), [0], max_rounds=1, raise_on_budget=True)
+        assert not run_full(cycle_graph(9), [0], max_rounds=1).terminated
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            simulate_indexed(cycle_graph(5), [])
+            run_full(cycle_graph(5), [])
         with pytest.raises(NodeNotFoundError):
-            simulate_indexed(cycle_graph(5), [71])
+            run_full(cycle_graph(5), [71])
         with pytest.raises(ConfigurationError):
-            simulate_indexed(cycle_graph(5), [0], max_rounds=0)
+            run_full(cycle_graph(5), [0], max_rounds=0)
 
     def test_light_run_refuses_uncollected_statistics(self):
-        run = simulate_indexed(
-            cycle_graph(6),
-            [0],
-            collect_senders=False,
-            collect_receives=False,
-        )
+        run = run_spec(FloodSpec(graph=cycle_graph(6), sources=(0,)))
         assert run.termination_round == 3
         with pytest.raises(ConfigurationError):
             run.sender_sets()
@@ -141,7 +143,7 @@ class TestSimulateIndexed:
     def test_index_reuse_parameter(self):
         graph = cycle_graph(9)
         index = IndexedGraph(graph)
-        run = simulate_indexed(graph, [0], index=index)
+        run = run_spec(FloodSpec(graph=graph, sources=(0,)), index=index)
         assert run.index is index
 
 

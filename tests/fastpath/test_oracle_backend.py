@@ -21,9 +21,10 @@ import random
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.core import simulate_reference
 from repro.errors import ConfigurationError
-from repro.fastpath import available_backends, simulate_indexed, sweep
+from repro.fastpath import available_backends, run_spec, sweep
 from repro.graphs import (
     complete_graph,
     cycle_graph,
@@ -44,6 +45,20 @@ from repro.graphs import (
 FRONTIER_BACKENDS = tuple(
     backend for backend in available_backends() if backend != "oracle"
 )
+
+
+def run_full(graph, sources, backend, max_rounds=None):
+    """One fast-path run collecting sender sets and receive rounds."""
+    return run_spec(
+        FloodSpec(
+            graph=graph,
+            sources=tuple(sources),
+            max_rounds=max_rounds,
+            backend=backend,
+            collect_senders=True,
+            collect_receives=True,
+        )
+    )
 
 
 def matrix():
@@ -86,10 +101,10 @@ MATRIX = matrix()
 class TestOracleVsFrontierEngines:
     @pytest.mark.parametrize("graph,sources", MATRIX)
     def test_full_statistics_agree(self, graph, sources):
-        oracle = simulate_indexed(graph, sources, backend="oracle")
+        oracle = run_full(graph, sources, "oracle")
         assert oracle.backend == "oracle"
         for backend in FRONTIER_BACKENDS:
-            frontier = simulate_indexed(graph, sources, backend=backend)
+            frontier = run_full(graph, sources, backend)
             assert oracle.terminated == frontier.terminated
             assert oracle.termination_round == frontier.termination_round
             assert oracle.total_messages == frontier.total_messages
@@ -110,9 +125,7 @@ class TestOracleVsFrontierEngines:
         horizon = simulate_reference(graph, [source]).termination_round
         for budget in range(1, horizon + 3):
             reference = simulate_reference(graph, [source], max_rounds=budget)
-            oracle = simulate_indexed(
-                graph, [source], max_rounds=budget, backend="oracle"
-            )
+            oracle = run_full(graph, [source], "oracle", max_rounds=budget)
             assert oracle.terminated == reference.terminated, budget
             assert oracle.termination_round == reference.termination_round
             assert oracle.round_edge_counts == reference.round_edge_counts
@@ -125,7 +138,7 @@ class TestOracleVsExplicitCover:
 
     @pytest.mark.parametrize("graph,sources", MATRIX)
     def test_predictors_agree(self, graph, sources):
-        run = simulate_indexed(graph, sources, backend="oracle")
+        run = run_full(graph, sources, "oracle")
         assert run.termination_round == predicted_termination_round(
             graph, sources
         )
@@ -165,12 +178,8 @@ class TestOracleInSweeps:
         assert "oracle" in available_backends()
 
     def test_light_collection(self):
-        run = simulate_indexed(
-            cycle_graph(6),
-            [0],
-            backend="oracle",
-            collect_senders=False,
-            collect_receives=False,
+        run = run_spec(
+            FloodSpec(graph=cycle_graph(6), sources=(0,), backend="oracle")
         )
         assert run.termination_round == 3
         with pytest.raises(ConfigurationError):
@@ -181,7 +190,7 @@ class TestOracleInSweeps:
     def test_isolated_source(self):
         from repro.graphs import Graph
 
-        run = simulate_indexed(Graph({0: []}), [0], backend="oracle")
+        run = run_full(Graph({0: []}), [0], "oracle")
         assert run.terminated
         assert run.termination_round == 0
         assert run.total_messages == 0

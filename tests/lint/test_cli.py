@@ -97,12 +97,8 @@ def test_list_rules_names_every_rule(capsys):
         "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
         "REP007", "REP101", "REP102", "REP103",
     )
-    for rule_id in file_rules:
-        assert rule_id in out
-    for rule_id in ("REP201", "REP202", "REP301", "REP302"):
-        assert rule_id in out
-        line = next(l for l in out.splitlines() if l.startswith(rule_id))
-        assert "[project]" in line
+    listed = [line.split()[0] for line in out.splitlines()]
+    assert listed == ["REP000", *file_rules]
 
 
 def test_sarif_format_schema(dirty_tree, capsys):
@@ -113,7 +109,7 @@ def test_sarif_format_schema(dirty_tree, capsys):
     assert run["tool"]["driver"]["name"] == "repro.lint"
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
     assert rule_ids == sorted(rule_ids)
-    assert "REP301" in rule_ids
+    assert "REP103" in rule_ids
     result = run["results"][0]
     assert result["level"] == "error"
     location = result["locations"][0]["physicalLocation"]
@@ -126,15 +122,6 @@ def test_github_format_emits_error_annotations(dirty_tree, capsys):
     out = capsys.readouterr().out
     assert out.startswith("::error file=")
     assert ",title=REP003::" in out
-
-
-def test_no_project_flag_skips_the_project_pass(dirty_tree, capsys):
-    # Fixture trees have no src/repro layout, so the project pass is a
-    # no-op either way -- this pins that both spellings parse and agree.
-    assert main([str(dirty_tree), "--no-project"]) == 1
-    first = capsys.readouterr().out
-    assert main([str(dirty_tree), "--project"]) == 1
-    assert capsys.readouterr().out == first
 
 
 def _run_git(cwd: Path, *arguments: str) -> None:

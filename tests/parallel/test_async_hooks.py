@@ -1,6 +1,6 @@
 """The pool's async submission hooks: futures, not blocking calls.
 
-``SweepPool.sweep_async`` / ``submit_ids`` are the bridge the service
+``SweepPool.sweep_async`` / ``submit_batch`` are the bridge the service
 layer stands on: same validation, same determinism, delivered through
 a :class:`concurrent.futures.Future` completed off-thread.
 """
@@ -12,10 +12,11 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.api import BatchKey
 from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.fastpath import IndexedGraph, routed_sweep_backend, sweep
 from repro.graphs import cycle_graph, erdos_renyi
-from repro.parallel import SweepPool, serial_sweep_ids
+from repro.parallel import SweepPool, serial_batch_ids
 from repro.parallel.pool import _resolve_budget
 
 
@@ -84,18 +85,20 @@ class TestSweepAsync:
         assert_runs_identical(serial, runs)
 
 
-class TestSerialSweepIds:
+class TestSerialBatchIds:
     def test_matches_blocking_sweep(self, workload):
         graph, source_sets = workload
         index = IndexedGraph.of(graph)
         id_lists = [index.resolve_sources(s) for s in source_sets]
         budget = _resolve_budget(graph, None)
         backend = routed_sweep_backend(index, None, budget)
-        runs = serial_sweep_ids(index, id_lists, budget, backend)
+        key = BatchKey(budget, backend, False, False)
+        runs = serial_batch_ids(index, id_lists, key)
         assert_runs_identical(sweep(graph, source_sets), runs)
 
     def test_cycle_statistics(self):
         graph = cycle_graph(9)
         index = IndexedGraph.of(graph)
-        runs = serial_sweep_ids(index, [[0], [4]], 100, "pure")
+        key = BatchKey(100, "pure", False, False)
+        runs = serial_batch_ids(index, [[0], [4]], key)
         assert [run.termination_round for run in runs] == [9, 9]

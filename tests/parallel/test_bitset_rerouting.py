@@ -22,8 +22,9 @@ from repro.core import (
     receipt_census,
     receipt_census_batch,
 )
+from repro.api import FloodSpec
 from repro.core.oracle import predict
-from repro.fastpath import IndexedGraph, simulate_indexed
+from repro.fastpath import run_spec
 from repro.graphs import (
     Graph,
     cycle_graph,
@@ -72,7 +73,9 @@ class TestAllPairsRegression:
         ]
         assert [pair for pair, _ in result] == expected_pairs
         for pair, rounds in result:
-            reference = simulate_indexed(graph, pair, backend="oracle")
+            reference = run_spec(
+                FloodSpec(graph=graph, sources=tuple(pair), backend="oracle")
+            )
             assert rounds == reference.termination_round
 
     def test_pair_limit_is_a_prefix(self):

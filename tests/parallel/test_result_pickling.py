@@ -14,7 +14,8 @@ import pickle
 
 import pytest
 
-from repro.fastpath import IndexedGraph, available_backends, simulate_indexed, sweep
+from repro.api import FloodSpec
+from repro.fastpath import IndexedGraph, available_backends, run_spec, sweep
 from repro.graphs import cycle_graph, erdos_renyi, paper_triangle
 
 
@@ -36,9 +37,11 @@ class TestIndexedGraphPickling:
         graph = cycle_graph(16)
         index = IndexedGraph(graph)
         # Populate both process-local caches.
-        simulate_indexed(graph, [0], backend="pure", index=index)
+        run_spec(FloodSpec(graph=graph, sources=(0,), backend="pure"), index)
         if "numpy" in available_backends():
-            simulate_indexed(graph, [0], backend="numpy", index=index)
+            run_spec(
+                FloodSpec(graph=graph, sources=(0,), backend="numpy"), index
+            )
             assert index._numpy_arrays is not None
         assert index._send_cache is not None
         clone = pickle.loads(pickle.dumps(index))
@@ -49,7 +52,9 @@ class TestIndexedGraphPickling:
         graph = cycle_graph(9)
         clone = pickle.loads(pickle.dumps(IndexedGraph.of(graph)))
         for backend in available_backends():
-            run = simulate_indexed(graph, [0], backend=backend, index=clone)
+            run = run_spec(
+                FloodSpec(graph=graph, sources=(0,), backend=backend), clone
+            )
             assert run.termination_round == 9
 
 
@@ -96,7 +101,8 @@ class TestSweepResultPickling:
         warmed_index = IndexedGraph(graph)
         sweep_graph = warmed_index.graph
         for source in sweep_graph.nodes()[:10]:
-            simulate_indexed(
-                sweep_graph, [source], backend="pure", index=warmed_index
+            run_spec(
+                FloodSpec(graph=sweep_graph, sources=(source,), backend="pure"),
+                warmed_index,
             )
         assert len(pickle.dumps(warmed_index)) == len(cold)

@@ -14,6 +14,7 @@ import asyncio
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.errors import ConfigurationError, ReproError
 from repro.graphs import erdos_renyi
 from repro.service import (
@@ -34,7 +35,9 @@ def fill_service(service, graph, count):
     """Admit ``count`` queries that will sit in a long batching window."""
     nodes = graph.nodes()
     return [
-        asyncio.ensure_future(service.query(graph, [nodes[i % len(nodes)]]))
+        asyncio.ensure_future(
+            service.query_spec(FloodSpec(graph, [nodes[i % len(nodes)]]))
+        )
         for i in range(count)
     ]
 
@@ -50,7 +53,7 @@ class TestQueueFull:
                 await asyncio.sleep(0.01)  # admissions happen
                 assert service.pending == 4
                 with pytest.raises(QueueFull) as excinfo:
-                    await service.query(graph, [graph.nodes()[0]])
+                    await service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
                 assert excinfo.value.limit == 4
                 assert excinfo.value.requested == 1
                 results = await asyncio.gather(*tasks)
@@ -67,7 +70,7 @@ class TestQueueFull:
             ) as service:
                 runs = await asyncio.gather(
                     *(
-                        service.query(graph, [v])
+                        service.query_spec(FloodSpec(graph, [v]))
                         for v in graph.nodes()[:9]
                     )
                 )
@@ -86,8 +89,8 @@ class TestQueueFull:
                 tasks = fill_service(service, graph, 2)
                 await asyncio.sleep(0.01)
                 # The override waits even though the default raises.
-                extra = await service.query(
-                    graph, [graph.nodes()[5]], on_full="wait"
+                extra = await service.query_spec(
+                    FloodSpec(graph, [graph.nodes()[5]]), on_full="wait"
                 )
                 await asyncio.gather(*tasks)
                 return extra
@@ -102,7 +105,9 @@ class TestQueueFull:
             async with FloodService(workers=0, max_pending=3) as service:
                 sets = [[v] for v in graph.nodes()[:5]]
                 with pytest.raises(QueueFull) as excinfo:
-                    await service.query_batch(graph, sets, on_full=mode)
+                    await service.query_batch_specs(
+                        [FloodSpec(graph, s) for s in sets], on_full=mode
+                    )
                 assert excinfo.value.requested == 5
 
         asyncio.run(run("raise"))
@@ -112,8 +117,8 @@ class TestQueueFull:
         async def run():
             async with FloodService(workers=0) as service:
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [graph.nodes()[0]], on_full="retry"
+                    await service.query_spec(
+                        FloodSpec(graph, [graph.nodes()[0]]), on_full="retry"
                     )
 
         asyncio.run(run())
@@ -125,8 +130,8 @@ class TestTimeouts:
             async with FloodService(workers=0, batch_window=0.5) as service:
                 service.register(graph)
                 with pytest.raises(QueryTimeout) as excinfo:
-                    await service.query(
-                        graph, [graph.nodes()[0]], timeout=0.01
+                    await service.query_spec(
+                        FloodSpec(graph, [graph.nodes()[0]]), timeout=0.01
                     )
                 assert excinfo.value.seconds == 0.01
                 assert service.stats.timeouts == 1
@@ -142,7 +147,7 @@ class TestTimeouts:
                 workers=0, batch_window=0.5, default_timeout=0.01
             ) as service:
                 with pytest.raises(QueryTimeout):
-                    await service.query(graph, [graph.nodes()[0]])
+                    await service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
                 await asyncio.sleep(0.6)
 
         asyncio.run(run())
@@ -152,8 +157,8 @@ class TestTimeouts:
             async with FloodService(
                 workers=0, batch_window=0.01, default_timeout=0.001
             ) as service:
-                return await service.query(
-                    graph, [graph.nodes()[0]], timeout=None
+                return await service.query_spec(
+                    FloodSpec(graph, [graph.nodes()[0]]), timeout=None
                 )
 
         assert asyncio.run(run()).terminated
@@ -164,9 +169,9 @@ class TestLifecycle:
         async def run():
             service = FloodService(workers=0)
             async with service:
-                await service.query(graph, [graph.nodes()[0]])
+                await service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
             with pytest.raises(ServiceClosed):
-                await service.query(graph, [graph.nodes()[0]])
+                await service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
             with pytest.raises(ServiceClosed):
                 service.register(graph)
 
@@ -180,7 +185,7 @@ class TestLifecycle:
             service = FloodService(workers=0, batch_window=5.0)
             async with service:
                 task = asyncio.ensure_future(
-                    service.query(graph, [graph.nodes()[0]])
+                    service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
                 )
                 await asyncio.sleep(0.01)
             return await task
@@ -191,7 +196,7 @@ class TestLifecycle:
         async def run():
             service = FloodService(workers=0)
             async with service:
-                await service.query(graph, [graph.nodes()[0]])
+                await service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
             await service.close()
             await service.close()
 
@@ -216,14 +221,14 @@ class TestValidation:
         async def run():
             async with FloodService(workers=0) as service:
                 with pytest.raises(NodeNotFoundError):
-                    await service.query(graph, ["not-a-node"])
+                    await service.query_spec(FloodSpec(graph, ["not-a-node"]))
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [graph.nodes()[0]], max_rounds=0
+                    await service.query_spec(
+                        FloodSpec(graph, [graph.nodes()[0]], max_rounds=0)
                     )
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [graph.nodes()[0]], backend="cuda"
+                    await service.query_spec(
+                        FloodSpec(graph, [graph.nodes()[0]], backend="cuda")
                     )
                 assert service.pending == 0
                 assert service.stats.queries == 0

@@ -14,8 +14,9 @@ import random
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.fastpath import sweep
-from repro.graphs import erdos_renyi, paper_triangle
+from repro.graphs import erdos_renyi
 from repro.service import FloodService
 
 # workers=0 is the in-process serial mode; 1/2/4 are real pools (on a
@@ -66,7 +67,7 @@ class TestConcurrentQueries:
             ) as service:
                 return await asyncio.gather(
                     *(
-                        service.query(graph, sources, backend="pure")
+                        service.query_spec(FloodSpec(graph, sources, backend="pure"))
                         for sources in source_sets
                     )
                 )
@@ -85,7 +86,7 @@ class TestConcurrentQueries:
 
         async def delayed(service, wait, sources):
             await asyncio.sleep(wait)
-            return await service.query(graph, sources, backend="pure")
+            return await service.query_spec(FloodSpec(graph, sources, backend="pure"))
 
         async def run():
             async with FloodService(
@@ -115,11 +116,10 @@ class TestConcurrentQueries:
                 async with FloodService(workers=workers) as service:
                     return await asyncio.gather(
                         *(
-                            service.query(
-                                graph,
-                                sources,
-                                max_rounds=budget,
-                                backend="pure",
+                            service.query_spec(
+                                FloodSpec(
+                                    graph, sources, max_rounds=budget, backend="pure"
+                                ),
                             )
                             for sources in source_sets
                         )
@@ -140,8 +140,10 @@ class TestConcurrentQueries:
             async with FloodService(workers=0, batch_window=0.01) as service:
                 return await asyncio.gather(
                     *(
-                        service.query(
-                            graph, sources, max_rounds=budget, backend="pure"
+                        service.query_spec(
+                            FloodSpec(
+                                graph, sources, max_rounds=budget, backend="pure"
+                            ),
                         )
                         for sources, budget in pairs
                     )
@@ -168,12 +170,14 @@ class TestConcurrentQueries:
             async with FloodService(workers=2) as service:
                 return await asyncio.gather(
                     *(
-                        service.query(
-                            graph,
-                            sources,
-                            backend="pure",
-                            collect_senders=True,
-                            collect_receives=True,
+                        service.query_spec(
+                            FloodSpec(
+                                graph,
+                                sources,
+                                backend="pure",
+                                collect_senders=True,
+                                collect_receives=True,
+                            ),
                         )
                         for sources in source_sets[:6]
                     )
@@ -194,8 +198,8 @@ class TestQueryBatch:
 
         async def run():
             async with FloodService(workers=workers) as service:
-                return await service.query_batch(
-                    graph, source_sets, backend="pure"
+                return await service.query_batch_specs(
+                    [FloodSpec(graph, s, backend="pure") for s in source_sets]
                 )
 
         results = asyncio.run(run())
@@ -206,7 +210,7 @@ class TestQueryBatch:
     def test_empty_batch(self):
         async def run():
             async with FloodService(workers=0) as service:
-                return await service.query_batch(paper_triangle(), [])
+                return await service.query_batch_specs([])
 
         assert asyncio.run(run()) == []
 
@@ -221,13 +225,13 @@ class TestQueryBatch:
                 workers=2, batch_window=0.005
             ) as service:
                 batch_task = asyncio.create_task(
-                    service.query_batch(
-                        graph, source_sets[:10], backend="pure"
+                    service.query_batch_specs(
+                        [FloodSpec(graph, s, backend="pure") for s in source_sets[:10]]
                     )
                 )
                 singles = await asyncio.gather(
                     *(
-                        service.query(graph, sources, backend="pure")
+                        service.query_spec(FloodSpec(graph, sources, backend="pure"))
                         for sources in source_sets[10:]
                     )
                 )
@@ -248,7 +252,7 @@ class TestRegistrationCaching:
             async with FloodService(workers=0) as service:
                 index = service.register(graph)
                 again = service.register(graph)
-                run = await service.query(graph, source_sets[0])
+                run = await service.query_spec(FloodSpec(graph, source_sets[0]))
                 return index, again, run
 
         index, again, result = asyncio.run(run())
@@ -264,7 +268,9 @@ class TestRegistrationCaching:
             async with FloodService(workers=0, max_graphs=2) as service:
                 results = []
                 for graph in graphs + graphs:  # revisit evicted entries
-                    run = await service.query(graph, [0], backend="pure")
+                    run = await service.query_spec(
+                        FloodSpec(graph, [0], backend="pure")
+                    )
                     results.append(run.termination_round)
                 return results
 

@@ -17,6 +17,7 @@ import asyncio
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.service import FloodService
 from repro.service.service import _AdmissionGate
@@ -35,12 +36,12 @@ class TestEvictionSafety:
             ) as service:
                 service.register(g1)
                 task = asyncio.ensure_future(
-                    service.query(g1, [0], backend="pure")
+                    service.query_spec(FloodSpec(g1, [0], backend="pure"))
                 )
                 await asyncio.sleep(0.02)  # admitted, bucketed, not flushed
                 service.register(g2)  # evicts g1 (LRU size 1)
                 run1 = await task
-                run2 = await service.query(g2, [0], backend="pure")
+                run2 = await service.query_spec(FloodSpec(g2, [0], backend="pure"))
                 return run1, run2
 
         run1, run2 = asyncio.run(run())
@@ -58,7 +59,7 @@ class TestEvictionSafety:
                 workers=1, max_graphs=1, batch_window=0.01
             ) as service:
                 tasks = [
-                    service.query(graphs[i % 3], [0], backend="pure")
+                    service.query_spec(FloodSpec(graphs[i % 3], [0], backend="pure"))
                     for i in range(12)
                 ]
                 return await asyncio.gather(*tasks)
@@ -79,12 +80,14 @@ class TestEvictionSafety:
             async with FloodService(workers=1, batch_window=0.0) as service:
                 service.register(warm)
                 cold_task = asyncio.ensure_future(
-                    service.query(cold, [cold.nodes()[0]], backend="pure")
+                    service.query_spec(
+                        FloodSpec(cold, [cold.nodes()[0]], backend="pure")
+                    )
                 )
                 # These must finish even though cold's pool is forking.
                 warm_runs = await asyncio.gather(
                     *(
-                        service.query(warm, [v], backend="pure")
+                        service.query_spec(FloodSpec(warm, [v], backend="pure"))
                         for v in warm.nodes()[:4]
                     )
                 )
@@ -117,8 +120,8 @@ class TestWarmupFailure:
 
                 monkeypatch.setattr(service, "_build_pool", flaky)
                 with pytest.raises(OSError):
-                    await service.query(graph, [0], backend="pure")
-                run = await service.query(graph, [0], backend="pure")
+                    await service.query_spec(FloodSpec(graph, [0], backend="pure"))
+                run = await service.query_spec(FloodSpec(graph, [0], backend="pure"))
                 assert service.pending == 0
                 return run
 
@@ -136,7 +139,7 @@ class TestCloseRaces:
         async def run():
             service = FloodService(workers=0)
             async with service:
-                await service.query(graph, [0])
+                await service.query_spec(FloodSpec(graph, [0]))
             with pytest.raises(ServiceClosed):
                 await service._admit(1, None)
 
@@ -194,12 +197,12 @@ class TestGateSlotAccounting:
                 service.register(graph)
                 for _ in range(3):
                     fillers = [
-                        asyncio.ensure_future(service.query(graph, [v]))
+                        asyncio.ensure_future(service.query_spec(FloodSpec(graph, [v])))
                         for v in graph.nodes()[:2]
                     ]
                     await asyncio.sleep(0.005)
                     victim = asyncio.ensure_future(
-                        service.query(graph, [graph.nodes()[3]])
+                        service.query_spec(FloodSpec(graph, [graph.nodes()[3]]))
                     )
                     await asyncio.sleep(0.005)
                     victim.cancel()
@@ -208,7 +211,10 @@ class TestGateSlotAccounting:
                 assert service.pending == 0
                 # Full capacity still available.
                 runs = await asyncio.gather(
-                    *(service.query(graph, [v]) for v in graph.nodes()[:2])
+                    *(
+                        service.query_spec(FloodSpec(graph, [v]))
+                        for v in graph.nodes()[:2]
+                    )
                 )
                 return runs
 

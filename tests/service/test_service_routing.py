@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.api import FloodSpec
 from repro.fastpath import (
     IndexedGraph,
     ORACLE_ROUND_THRESHOLD,
@@ -28,7 +29,7 @@ from repro.service.routing import Router
 def query_backend(graph, sources, **kwargs):
     async def run():
         async with FloodService(workers=0) as service:
-            result = await service.query(graph, sources, **kwargs)
+            result = await service.query_spec(FloodSpec(graph, sources, **kwargs))
             return result.backend
 
     return asyncio.run(run())
@@ -118,7 +119,7 @@ class TestServiceRouting:
         async def run():
             async with FloodService(workers=0) as service:
                 return await asyncio.gather(
-                    *(service.query(graph, s) for s in sets)
+                    *(service.query_spec(FloodSpec(graph, s)) for s in sets)
                 )
 
         results = asyncio.run(run())
@@ -135,8 +136,8 @@ class TestServiceRouting:
 
         async def run():
             async with FloodService(workers=0) as service:
-                await service.query(long_cycle, [0])
-                await service.query(dense, [0])
+                await service.query_spec(FloodSpec(long_cycle, [0]))
+                await service.query_spec(FloodSpec(dense, [0]))
                 return dict(service.stats.backends)
 
         mix = asyncio.run(run())
@@ -240,7 +241,7 @@ class TestRouterCache:
                     return original(index)
 
                 service._router.compute = spy
-                return await service.query(graph, [0])
+                return await service.query_spec(FloodSpec(graph, [0]))
 
         result = asyncio.run(run())
         assert result.termination_round == 23

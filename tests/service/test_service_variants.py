@@ -15,6 +15,7 @@ import asyncio
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.errors import ConfigurationError
 from repro.fastpath import bernoulli_loss, k_memory, sweep, thinning
 from repro.graphs import cycle_graph, erdos_renyi
@@ -44,7 +45,9 @@ class TestVariantQueries:
 
         async def main():
             async with FloodService(workers=workers) as service:
-                return await service.query(graph, [graph.nodes()[0]], variant=spec)
+                return await service.query_spec(
+                    FloodSpec(graph, [graph.nodes()[0]], variant=spec)
+                )
 
         actual = run(main())
         expected = sweep(graph, [[graph.nodes()[0]]], variant=spec)[0]
@@ -58,7 +61,12 @@ class TestVariantQueries:
 
         async def main():
             async with FloodService(workers=workers) as service:
-                return await service.query_batch(graph, sets, variant=spec)
+                return await service.query_batch_specs(
+                    [
+                        FloodSpec(graph, s, variant=spec, stream=i)
+                        for i, s in enumerate(sets)
+                    ]
+                )
 
         actual = run(main())
         expected = sweep(graph, sets, variant=spec)
@@ -76,7 +84,10 @@ class TestVariantQueries:
         async def main():
             async with FloodService(workers=0, batch_window=0.01) as service:
                 return await asyncio.gather(
-                    *(service.query(graph, [0], variant=spec) for _ in range(8))
+                    *(
+                        service.query_spec(FloodSpec(graph, [0], variant=spec))
+                        for _ in range(8)
+                    )
                 )
 
         results = run(main())
@@ -94,9 +105,9 @@ class TestVariantQueries:
         async def main():
             async with FloodService(workers=0, batch_window=0.01) as service:
                 return await asyncio.gather(
-                    service.query(graph, [0], variant=loss),
-                    service.query(graph, [0], variant=memory),
-                    service.query(graph, [0]),
+                    service.query_spec(FloodSpec(graph, [0], variant=loss)),
+                    service.query_spec(FloodSpec(graph, [0], variant=memory)),
+                    service.query_spec(FloodSpec(graph, [0])),
                 )
 
         lossy_run, memory_run, plain = run(main())
@@ -116,9 +127,9 @@ class TestVariantRouting:
 
         async def main():
             async with FloodService(workers=0) as service:
-                deterministic = await service.query(graph, [0])
-                stochastic = await service.query(
-                    graph, [0], variant=bernoulli_loss(0.2, seed=1)
+                deterministic = await service.query_spec(FloodSpec(graph, [0]))
+                stochastic = await service.query_spec(
+                    FloodSpec(graph, [0], variant=bernoulli_loss(0.2, seed=1))
                 )
                 return deterministic, stochastic, dict(service.stats.backends)
 
@@ -133,12 +144,12 @@ class TestVariantRouting:
         async def main():
             async with FloodService(workers=0) as service:
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [0], variant=thinning(0.5), backend="oracle"
+                    await service.query_spec(
+                        FloodSpec(graph, [0], variant=thinning(0.5), backend="oracle")
                     )
                 with pytest.raises(ConfigurationError):
-                    await service.query(
-                        graph, [0], variant=k_memory(1), backend="numpy"
+                    await service.query_spec(
+                        FloodSpec(graph, [0], variant=k_memory(1), backend="numpy")
                     )
                 assert service.pending == 0
 
@@ -149,6 +160,8 @@ class TestVariantRouting:
 
         async def main():
             async with FloodService(workers=0) as service:
-                return await service.query(graph, [0], variant=k_memory(1))
+                return await service.query_spec(
+                    FloodSpec(graph, [0], variant=k_memory(1))
+                )
 
         assert run(main()).backend == "pure"

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import BatchKey, FloodSpec
 from repro.core import simulate
 from repro.errors import ConfigurationError
 from repro.fastpath import (
     IndexedGraph,
     bernoulli_loss,
     k_memory,
-    simulate_indexed,
+    run_spec,
     sweep,
     thinning,
     variant_backend,
@@ -168,7 +169,7 @@ class TestKMemoryEquivalence:
         graph = erdos_renyi(30, 0.15, seed=9, connected=True)
         source = graph.nodes()[0]
         fast = fast_runs(graph, k_memory(1), trials=1)[0]
-        det = simulate_indexed(graph, [source])
+        det = run_spec(FloodSpec(graph=graph, sources=(source,)))
         assert fast.termination_round == det.termination_round
         assert fast.total_messages == det.total_messages
         assert fast.round_edge_counts == det.round_edge_counts
@@ -353,21 +354,20 @@ class TestPoolDeterminism:
             again = variant_survey(graph, 0, spec, trials=40, workers=workers)
             assert again == baseline
 
-    def test_serial_sweep_ids_defaults_to_position_keys(self, workload):
+    def test_serial_batch_ids_defaults_to_position_keys(self, workload):
         # The exported in-process fallback must never silently run
         # every trial on one stream when run_keys is omitted: the
         # default is the same position-keyed derivation sweep() uses.
         from repro.fastpath import IndexedGraph
         from repro.fastpath.engine import _resolve_budget
-        from repro.parallel import serial_sweep_ids
+        from repro.parallel import serial_batch_ids
 
         graph, source_sets = workload
         spec = thinning(0.5, seed=42)
         index = IndexedGraph.of(graph)
         id_lists = [index.resolve_sources(s) for s in source_sets[:10]]
-        runs = serial_sweep_ids(
-            index, id_lists, _resolve_budget(graph, None), "pure", variant=spec
-        )
+        key = BatchKey(_resolve_budget(graph, None), "pure", False, False, spec)
+        runs = serial_batch_ids(index, id_lists, key)
         self.assert_runs_identical(
             sweep(graph, source_sets[:10], variant=spec), runs
         )
@@ -383,9 +383,8 @@ class TestPoolDeterminism:
         with SweepPool(graph, workers=2) as pool:
             index = pool.index
             id_lists = [index.resolve_sources(s) for s in source_sets[:10]]
-            runs = pool.submit_ids(
-                id_lists, 40, "pure", variant=spec
-            ).result(timeout=60)
+            key = BatchKey(40, "pure", False, False, spec)
+            runs = pool.submit_batch(id_lists, key).result(timeout=60)
         expected = sweep(graph, source_sets[:10], max_rounds=40, variant=spec)
         self.assert_runs_identical(expected, runs)
 

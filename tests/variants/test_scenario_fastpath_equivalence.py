@@ -8,6 +8,11 @@ pinned reference engine's result field for field -- and the execution
 tiers (serial session, worker pools of 1/2/4, the result cache) are
 pure scheduling, never content.
 
+The scenario axis is read from the registry (``scenario_names()``) at
+collection time, so a newly registered scenario joins the matrix by
+construction -- and fails by name until :data:`SCENARIO_ARGS` says which
+arguments to run it with.
+
 ``make smoke`` runs this file fail-fast, mirroring the bitset and
 cache subsets.
 """
@@ -15,6 +20,7 @@ cache subsets.
 import pytest
 
 from repro.api import FloodSession, FloodSpec
+from repro.api.scenarios import scenario_names
 from repro.cache import ResultCache
 from repro.errors import ConfigurationError
 from repro.fastpath.variants import (
@@ -40,23 +46,38 @@ GRAPHS = {
     "er24": erdos_renyi(24, 0.2, seed=3, connected=True),
 }
 
-SCENARIOS = (
-    "flood",
-    "thinning:0.8",
-    "lossy:0.15",
-    "kmemory:2",
-    "periodic:2,3",
-    "multi_message",
-    "random_delay:0.4",
-    "dynamic:2",
-)
+# Registered scenario name -> the scenario string the matrix runs.
+SCENARIO_ARGS = {
+    "flood": "flood",
+    "thinning": "thinning:0.8",
+    "lossy": "lossy:0.15",
+    "kmemory": "kmemory:2",
+    "periodic": "periodic:2,3",
+    "multi_message": "multi_message",
+    "random_delay": "random_delay:0.4",
+    "dynamic": "dynamic:2",
+}
+
+SCENARIOS = scenario_names()
 
 MULTI_SOURCE = {"flood", "multi_message"}
 
 
+def matrix_scenario(name):
+    """The matrix's scenario string for a registered name."""
+    if name not in SCENARIO_ARGS:
+        pytest.fail(
+            f"registered scenario {name!r} has no entry in SCENARIO_ARGS; "
+            f"its fast path is unchecked against its reference until one "
+            f"is added"
+        )
+    return SCENARIO_ARGS[name]
+
+
 def build(scenario, graph, *, seed=0, stream=0, max_rounds=None):
     labels = sorted(graph.nodes())
-    sources = labels[:2] if scenario in MULTI_SOURCE else labels[:1]
+    name = scenario.split(":", 1)[0]
+    sources = labels[:2] if name in MULTI_SOURCE else labels[:1]
     return FloodSpec.from_scenario(
         scenario,
         graph,
@@ -84,7 +105,7 @@ class TestFastMatchesReference:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_default_budget(self, scenario, name):
-        spec = build(scenario, GRAPHS[name], seed=5)
+        spec = build(matrix_scenario(scenario), GRAPHS[name], seed=5)
         with FloodSession(workers=0) as session:
             assert_bit_identical(
                 session.run(spec), session.run(spec, reference=True)
@@ -95,7 +116,10 @@ class TestFastMatchesReference:
         """Budget semantics must match down to the cut-off verdict."""
         graph = GRAPHS["cycle9"]
         for max_rounds in (1, 2, 5):
-            spec = build(scenario, graph, seed=5, max_rounds=max_rounds)
+            spec = build(
+                matrix_scenario(scenario), graph, seed=5,
+                max_rounds=max_rounds,
+            )
             with FloodSession(workers=0) as session:
                 assert_bit_identical(
                     session.run(spec), session.run(spec, reference=True)
