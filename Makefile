@@ -22,7 +22,9 @@
 #                 budgets, seed streams, worker counts and cache
 #                 hits) + the examples suite (the
 #                 facade-based examples run whole per PR) + the
-#                 tier-1 suite
+#                 perfbench self-tests (its tracer fails loudly when
+#                 a repro name it instruments moves) + the tier-1
+#                 suite
 #   make bench  - full benchmark run; rewrites BENCH_fastpath.json
 #   make examples - the examples suite (quick examples run end-to-end)
 #   make example- the quickstart example, as a living doc check
@@ -61,6 +63,7 @@ smoke:
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
+	$(PYTHON) -m pytest -x -q perfbench/tests
 	$(PYTHON) -m pytest -x -q
 
 bench:

@@ -31,6 +31,7 @@ import time
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.fastpath import sweep
 from repro.graphs import erdos_renyi
 from repro.parallel import (
@@ -174,10 +175,11 @@ def test_ext_par_sweep_warm_pool(benchmark, workload, serial_baseline):
     """The serving shape: batch cost through an already-warm pool."""
     graph, source_sets = workload
     serial_seconds, serial_runs = serial_baseline
+    specs = [FloodSpec(graph, tuple(sources)) for sources in source_sets]
     with SweepPool(graph, workers=2) as pool:
-        pool.sweep(source_sets[:2])  # prime worker state
+        pool.sweep_specs(specs[:2])  # prime worker state
         runs = benchmark.pedantic(
-            pool.sweep, args=(source_sets,), rounds=1, iterations=1
+            pool.sweep_specs, args=(specs,), rounds=1, iterations=1
         )
     _assert_identical(serial_runs, runs)
     speedup = serial_seconds / benchmark.stats.stats.min

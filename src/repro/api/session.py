@@ -143,30 +143,23 @@ class FloodSession:
         return resolved > 1 and batch_size >= MIN_PARALLEL_BATCH
 
     def plan(self, spec: FloodSpec, batch_size: int = 1) -> ExecutionPlan:
-        """The execution plan for ``spec`` in a batch of ``batch_size``.
+        """The execution plan for ``spec`` in a :meth:`sweep` batch of
+        ``batch_size``.
 
-        Resolves the backend exactly like execution would (variant
-        rules, explicit names, or the probe-aware routing for batches)
-        without running anything.
+        Resolves the backend exactly like the sweep would -- batch
+        resolution (:func:`~repro.fastpath.engine.resolve_backend` with
+        ``batch=True``) for every batch size, one-spec batches included
+        -- without running anything.
         """
         if spec.scenario is not None:
             name = spec.scenario.partition(":")[0]
             return ExecutionPlan(mode=SCENARIO, backend=f"scenario:{name}")
-        from repro.fastpath.engine import (
-            routed_sweep_backend,
-            select_backend,
-        )
-        from repro.fastpath.variants import variant_backend
+        from repro.fastpath.engine import resolve_backend
 
-        index = spec.index()
-        if spec.variant is not None:
-            backend = variant_backend(index, spec.backend, spec.variant)
-        elif batch_size > 1:
-            backend = routed_sweep_backend(
-                index, spec.backend, spec.max_rounds, spec.probe
-            )
-        else:
-            backend = select_backend(index, spec.backend)
+        backend = resolve_backend(
+            spec.index(), spec.backend, spec.max_rounds, spec.variant,
+            spec.probe, batch=True,
+        )
         if self._pooled(batch_size):
             return ExecutionPlan(
                 mode=POOL, backend=backend, workers=self._resolved_workers()
@@ -200,26 +193,22 @@ class FloodSession:
         cache = self._results
         if cache is None or spec.cache == "bypass":
             return FloodResult.from_indexed(spec, run_spec(spec))
-        from repro.cache import decode_run, encode_run, result_cache_key
-        from repro.fastpath.engine import select_backend
-        from repro.fastpath.variants import variant_backend
+        from repro.cache import encode_run, lookup_run, result_cache_key
+        from repro.fastpath.engine import resolve_backend
 
         index = spec.index()
         # Single-run resolution (no probe), matching run_spec exactly:
         # the resolved name joins the cache key because batch routing
         # may legitimately pick a different engine for the same spec.
-        if spec.variant is not None:
-            chosen = variant_backend(index, spec.backend, spec.variant)
-        else:
-            chosen = select_backend(index, spec.backend)
+        chosen = resolve_backend(
+            index, spec.backend, spec.max_rounds, spec.variant, spec.probe,
+            batch=False,
+        )
         key = result_cache_key(spec, chosen)
         if spec.cache == "use":
-            blob = cache.get(key)
-            if blob is not None:
-                run = decode_run(blob, spec, index)
-                if run is not None:
-                    return FloodResult.from_indexed(spec, run)
-                cache.note_corrupt(key)
+            run = lookup_run(cache, key, spec, index)
+            if run is not None:
+                return FloodResult.from_indexed(spec, run)
         run = run_spec(spec, index=index)
         cache.put(key, encode_run(run))
         return FloodResult.from_indexed(spec, run)
@@ -302,7 +291,12 @@ class FloodSession:
         preserved because every position's run comes through the same
         rehydration funnel either way.
         """
-        from repro.cache import decode_run, encode_run, result_cache_key
+        from repro.cache import (
+            decode_run,
+            encode_run,
+            lookup_run,
+            result_cache_key,
+        )
         from repro.fastpath.engine import batch_key_of
 
         cache = self._results
@@ -322,13 +316,10 @@ class FloodSession:
                 continue
             key = result_cache_key(spec, chosen)
             if spec.cache == "use":
-                blob = cache.get(key)
-                if blob is not None:
-                    run = decode_run(blob, spec, index)
-                    if run is not None:
-                        results[position] = run
-                        continue
-                    cache.note_corrupt(key)
+                run = lookup_run(cache, key, spec, index)
+                if run is not None:
+                    results[position] = run
+                    continue
             if key in leaders:
                 dup_of[position] = key
                 cache.note_coalesced()
@@ -373,11 +364,11 @@ class FloodSession:
         Fast-path specs ride the session's :class:`FloodService`: the
         spec is the request, its :class:`~repro.api.spec.BatchKey` is
         the micro-batch key, and the result is bit-identical to
-        :meth:`run` of the same spec modulo probe routing (the service
-        routes ``backend=None`` through the rounds probe, exactly like
-        a batch).  Extension set-based scenario specs run on an
-        executor thread.  ``timeout`` / ``on_full`` follow
-        :meth:`repro.service.FloodService.query`.
+        :meth:`sweep` of ``[spec]`` (the service resolves backends with
+        the batch rule, so ``backend=None`` routes through the rounds
+        probe exactly like a sweep).  Extension set-based scenario
+        specs run on an executor thread.  ``timeout`` / ``on_full``
+        follow :meth:`repro.service.FloodService.query_spec`.
         """
         self._require_open()
         if spec.scenario is not None:

@@ -33,6 +33,7 @@ from repro.cache.keys import (
     CACHE_MAGIC,
     decode_run,
     encode_run,
+    lookup_run,
     result_cache_key,
 )
 from repro.cache.lru import (
@@ -54,5 +55,6 @@ __all__ = [
     "ResultCache",
     "decode_run",
     "encode_run",
+    "lookup_run",
     "result_cache_key",
 ]

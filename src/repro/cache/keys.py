@@ -18,14 +18,14 @@ Key discipline
 --------------
 The cache key is ``f"{spec.digest()}:{resolved_backend}"``.  The spec
 digest alone is not enough: single-run resolution
-(:func:`~repro.fastpath.engine.run_spec`, never probes) and batch
-resolution (:func:`~repro.fastpath.engine.routed_sweep_backend`,
-probe-aware) may pick *different* backends for the same
-``backend=None`` spec, and a cached result reports the backend that
-produced it -- so the resolved name joins the key and each resolution
-path addresses its own entry.  Stochastic specs are safe automatically:
-``digest()`` already covers ``(variant.seed, stream)``, so a different
-stream is a different address, never a false hit.
+(:func:`~repro.fastpath.engine.resolve_backend` with ``batch=False``,
+never probes) and batch resolution (``batch=True``, probe-aware) may
+pick *different* backends for the same ``backend=None`` spec, and a
+cached result reports the backend that produced it -- so the resolved
+name joins the key and each resolution path addresses its own entry.
+Stochastic specs are safe automatically: ``digest()`` already covers
+``(variant.seed, stream)``, so a different stream is a different
+address, never a false hit.
 
 The payload is version-stamped (:data:`CACHE_MAGIC`,
 :data:`CACHE_FORMAT_VERSION`) and :func:`decode_run` answers ``None``
@@ -42,6 +42,7 @@ import pickle
 from typing import Optional, Tuple
 
 from repro.api.spec import FloodSpec
+from repro.cache.lru import ResultCache
 from repro.fastpath.engine import IndexedRun, raw_run_of, wrap_raw_run
 from repro.fastpath.indexed import IndexedGraph
 
@@ -131,3 +132,25 @@ def decode_run(
         index = spec.index()
     source_ids = index.resolve_sources(spec.sources)
     return wrap_raw_run(index, source_ids, backend, checked, spec.variant)
+
+
+def lookup_run(
+    cache: ResultCache,
+    key: str,
+    spec: FloodSpec,
+    index: Optional[IndexedGraph] = None,
+) -> Optional[IndexedRun]:
+    """The stored run under ``key``, decoded for ``spec``; ``None`` on a miss.
+
+    The one cache-read funnel of the session and the service: a blob
+    that fails to decode is booked with
+    :meth:`~repro.cache.lru.ResultCache.note_corrupt` and answered as a
+    miss, so corruption never reaches a caller.
+    """
+    blob = cache.get(key)
+    if blob is None:
+        return None
+    run = decode_run(blob, spec, index)
+    if run is None:
+        cache.note_corrupt(key)
+    return run

@@ -44,10 +44,11 @@ Entry points:
 * :func:`step_arc_mask` / :func:`evolve_arc_mask` -- arbitrary initial
   configurations packed into arc bitmasks (powers the
   initial-conditions census);
-* :func:`probe_termination_rounds` / :func:`routed_backend` -- cheap
-  double-cover rounds probes that make backend selection rounds-aware
-  (bare ``sweep(backend=None)`` and the service layer route long
-  floods to the oracle through these);
+* :func:`resolve_backend` -- the one backend-resolution rule every
+  tier applies; for batches with ``backend=None`` it consults
+  :func:`probe_termination_rounds` (cheap double-cover rounds probes,
+  memoised per index) and :func:`routed_backend`, which route long
+  floods to the oracle;
 * :class:`VariantSpec` (:func:`thinning` / :func:`bernoulli_loss` /
   :func:`k_memory` / :func:`periodic_injection` / :func:`multi_message`
   / :func:`random_delay` / :func:`dynamic_schedule`) and
@@ -72,6 +73,7 @@ from repro.fastpath.engine import (
     dispatch_batch,
     ensure_homogeneous_specs,
     evolve_arc_mask,
+    resolve_backend,
     routed_sweep_backend,
     run_spec,
     select_backend,
@@ -128,6 +130,7 @@ __all__ = [
     "periodic_injection",
     "probe_termination_rounds",
     "random_delay",
+    "resolve_backend",
     "routed_backend",
     "routed_sweep_backend",
     "run_spec",

@@ -35,6 +35,12 @@ additionally ride the word-packed bitset sweep
 at least :data:`BITSET_MIN_BATCH` runs -- an execution strategy, not a
 backend name: results still report ``backend="oracle"`` and stay
 bit-identical to the per-source oracle.
+
+:func:`resolve_backend` is the one resolution rule every tier applies:
+variants resolve through :func:`variant_backend`, batches with
+``backend=None`` and ``probe=True`` through the rounds probe
+(:func:`routed_sweep_backend`), everything else through
+:func:`select_backend`.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from repro.api.spec import BatchKey, FloodSpec
 from repro.errors import ConfigurationError
 from repro.fastpath import bitset_oracle, numpy_backend, oracle_backend, pure_backend
 from repro.fastpath.indexed import IndexedGraph
+from repro.fastpath.probe import index_probe, routed_backend
 from repro.fastpath.variants import VariantSpec, run_variant, variant_backend
 from repro.graphs.graph import Graph, Node
 from repro.sync.engine import default_round_budget
@@ -406,10 +413,10 @@ def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRu
     if index is None:
         index = spec.index()
     source_ids = index.resolve_sources(spec.sources)
-    if spec.variant is not None:
-        chosen = variant_backend(index, spec.backend, spec.variant)
-    else:
-        chosen = select_backend(index, spec.backend)
+    chosen = resolve_backend(
+        index, spec.backend, spec.max_rounds, spec.variant, spec.probe,
+        batch=False,
+    )
     raw = _dispatch(index, source_ids, spec.batch_key(chosen), spec.run_key())
     return wrap_raw_run(index, source_ids, chosen, raw, spec.variant)
 
@@ -423,18 +430,45 @@ def routed_sweep_backend(
     """Backend resolution for batch sweeps: probe-aware by default.
 
     ``backend=None`` consults the graph's double-cover rounds probe
-    (:mod:`repro.fastpath.probe`) exactly like the service router: long
-    expected floods (>= ``ORACLE_ROUND_THRESHOLD`` executed rounds,
-    budget-clamped) go to the O(n + m) oracle, everything else to the
-    frontier auto-selection.  The probe costs a few cover-BFS passes,
-    hoisted once per batch.  ``probe=False`` opts out and restores the
-    plain frontier auto-selection; explicit backends always win.
+    (:mod:`repro.fastpath.probe`): long expected floods (>=
+    ``ORACLE_ROUND_THRESHOLD`` executed rounds, budget-clamped) go to
+    the O(n + m) oracle, everything else to the frontier
+    auto-selection.  The probe costs a few cover-BFS passes, paid once
+    per index (:func:`~repro.fastpath.probe.index_probe`).
+    ``probe=False`` opts out and restores the plain frontier
+    auto-selection; explicit backends always win.
     """
     if backend is not None or not probe:
         return select_backend(index, backend)
-    from repro.fastpath.probe import probe_termination_rounds, routed_backend
+    return routed_backend(index, index_probe(index), budget)
 
-    return routed_backend(index, probe_termination_rounds(index), budget)
+
+def resolve_backend(
+    index: IndexedGraph,
+    backend: Optional[str],
+    budget: int,
+    variant: Optional[VariantSpec] = None,
+    probe: bool = True,
+    *,
+    batch: bool,
+) -> str:
+    """The backend a request runs on: the one resolution rule.
+
+    Every tier -- ``run_spec``, the serial and pooled sweeps, the
+    session's planner and cache keys, the service router -- resolves
+    here, so they cannot drift apart.  A variant resolves through
+    :func:`variant_backend` (the pure stepper, never the oracle).  A
+    *batch* with ``backend=None`` and ``probe=True`` resolves through
+    the rounds probe (:func:`routed_sweep_backend`, which hands every
+    other batch to :func:`select_backend`): the probe only amortises
+    across a batch, so single runs (``batch=False``) never consult it
+    and resolve through :func:`select_backend` directly.
+    """
+    if variant is not None:
+        return variant_backend(index, backend, variant)
+    if batch:
+        return routed_sweep_backend(index, backend, budget, probe)
+    return select_backend(index, backend)
 
 
 def sweep(
@@ -467,7 +501,7 @@ def sweep(
     in O(n + m) per source set, independent of flood length, and is
     held bit-for-bit equal to the frontier engines by the equivalence
     matrix.  ``backend=None`` is *probe-aware*: a cheap rounds probe
-    (computed once per batch) routes unambiguously round-heavy
+    (computed once per index) routes unambiguously round-heavy
     topologies to the oracle automatically, the same rule the service
     router applies -- pass ``probe=False`` to opt out and keep the
     plain frontier auto-selection.
@@ -509,13 +543,12 @@ def sweep(
     ]
     if not specs:
         # Preserve the legacy contract that an empty batch still
-        # validates its budget and backend before returning nothing.
-        index = IndexedGraph.of(graph)
-        _resolve_budget(graph, max_rounds)
-        if variant is not None:
-            variant_backend(index, backend, variant)
-        else:
-            select_backend(index, backend)
+        # validates its budget and backend (without probing) before
+        # returning nothing.
+        budget = _resolve_budget(graph, max_rounds)
+        resolve_backend(
+            IndexedGraph.of(graph), backend, budget, variant, batch=False
+        )
         return []
     return sweep_specs(specs)
 
@@ -556,18 +589,16 @@ def batch_key_of(specs: Sequence[FloodSpec], index: IndexedGraph) -> BatchKey:
     The shared front half of every batch tier (serial
     :func:`sweep_specs`, the worker pool, the service's batch path):
     checks the specs agree on everything execution-relevant
-    (:func:`ensure_homogeneous_specs`), then runs backend resolution
-    once -- variant rules, or the probe-aware routing when the lead
-    spec says ``backend=None, probe=True``.
+    (:func:`ensure_homogeneous_specs`), then runs
+    :func:`resolve_backend` once for the lead spec.
     """
     head = ensure_homogeneous_specs(specs)
-    if head.variant is not None:
-        chosen = variant_backend(index, head.backend, head.variant)
-    else:
-        chosen = routed_sweep_backend(
-            index, head.backend, head.max_rounds, head.probe
+    return head.batch_key(
+        resolve_backend(
+            index, head.backend, head.max_rounds, head.variant, head.probe,
+            batch=True,
         )
-    return head.batch_key(chosen)
+    )
 
 
 def sweep_specs(

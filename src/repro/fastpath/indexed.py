@@ -61,6 +61,7 @@ class IndexedGraph:
         "full_masks",
         "_numpy_arrays",
         "_send_cache",
+        "_probe_rounds",
     )
 
     def __init__(self, graph: Graph) -> None:
@@ -98,6 +99,7 @@ class IndexedGraph:
         self.full_masks = full_masks
         self._numpy_arrays = None  # lazily built by the numpy backend
         self._send_cache = None  # lazily built by the pure backend
+        self._probe_rounds = None  # lazily memoised by fastpath.probe
 
     # ------------------------------------------------------------------
     # Pickling
@@ -105,11 +107,11 @@ class IndexedGraph:
     #
     # Indexes cross process boundaries in :mod:`repro.parallel`: the
     # sweep pool pickles the frozen CSR once per worker.  Only the CSR
-    # arrays travel -- the backend-private memo caches (`_send_cache`,
-    # `_numpy_arrays`) are process-local working state, can be large,
+    # arrays travel -- the memo caches (`_send_cache`, `_numpy_arrays`,
+    # `_probe_rounds`) are process-local working state, can be large,
     # and rebuild lazily on first use, so they are dropped on the wire.
 
-    _TRANSIENT_SLOTS = ("_numpy_arrays", "_send_cache")
+    _TRANSIENT_SLOTS = ("_numpy_arrays", "_send_cache", "_probe_rounds")
 
     def __getstate__(self) -> Dict[str, object]:
         return {
@@ -121,8 +123,8 @@ class IndexedGraph:
     def __setstate__(self, state: Dict[str, object]) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
-        self._numpy_arrays = None
-        self._send_cache = None
+        for slot in self._TRANSIENT_SLOTS:
+            setattr(self, slot, None)
 
     # ------------------------------------------------------------------
 

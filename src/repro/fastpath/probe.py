@@ -19,9 +19,10 @@ enough to route between them.
 
 The probe is deterministic (fixed sample positions, no randomness), so
 routing decisions -- and therefore the backend recorded on every
-result -- are reproducible for a given graph and budget.  The service
-layer (:mod:`repro.service`) computes it once per registered graph and
-amortises it across every query on that topology.
+result -- are reproducible for a given graph and budget.
+:func:`index_probe` memoises it on the :class:`IndexedGraph` itself, so
+every tier -- serial sweeps, warm pools, the service -- pays for it at
+most once per index.
 """
 
 from __future__ import annotations
@@ -67,6 +68,20 @@ def probe_termination_rounds(
         dist = cover_levels(index, [source])
         rounds.append(max(dist))
     return tuple(rounds)
+
+
+def index_probe(index: IndexedGraph) -> Tuple[int, ...]:
+    """The default-sample probe of ``index``, computed once per index.
+
+    The memo lives in the index's transient ``_probe_rounds`` slot (read
+    and written only here, and dropped on pickling like the backends'
+    caches), so it lives exactly as long as the frozen CSR it describes.
+    """
+    rounds = index._probe_rounds
+    if rounds is None:
+        rounds = probe_termination_rounds(index)
+        index._probe_rounds = rounds
+    return rounds
 
 
 def expected_rounds(

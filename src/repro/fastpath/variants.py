@@ -49,11 +49,13 @@ Entry points
 :class:`VariantSpec` (build with :func:`thinning`,
 :func:`bernoulli_loss`, :func:`k_memory`, :func:`periodic_injection`,
 :func:`multi_message`, :func:`random_delay`,
-:func:`dynamic_schedule`) plugs into ``fastpath.sweep(...,
-variant=spec)``, ``parallel_sweep``, ``SweepPool.sweep`` and
-``FloodService.query``; :func:`variant_survey` is the Monte-Carlo
-aggregation over a trial batch.  :func:`run_variant` is the raw
-per-run dispatch the engine and the worker pool call.
+:func:`dynamic_schedule`) plugs into ``FloodSpec(variant=spec)`` --
+and so into every spec tier (``run_spec``, ``sweep_specs``,
+``SweepPool.sweep_specs``, ``FloodService.query_spec``) -- and into
+the kwargs ``fastpath.sweep`` and ``parallel_sweep``;
+:func:`variant_survey` is the Monte-Carlo aggregation over a trial
+batch.  :func:`run_variant` is the raw per-run dispatch the engine and
+the worker pool call.
 """
 
 from __future__ import annotations

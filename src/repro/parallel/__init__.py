@@ -17,14 +17,13 @@ all cores:
   bit-identical to the serial sweep for every worker count and chunk
   size.
 * :class:`SweepPool` -- the reusable serving shape: one pool of warm
-  workers per graph, many batches through it.  Its async hooks
-  (:meth:`~repro.parallel.pool.SweepPool.sweep_async` /
-  :meth:`~repro.parallel.pool.SweepPool.submit_batch`) return
-  :class:`concurrent.futures.Future` s, and ``submit_batch`` -- id
-  lists under one :class:`~repro.api.spec.BatchKey` -- is what the
-  query service (:mod:`repro.service`) drives; :func:`serial_batch_ids`
-  is the same post-validation loop without processes (the service's
-  1-core mode).
+  workers per graph, many batches through it
+  (:meth:`~repro.parallel.pool.SweepPool.sweep_specs`).  Its async
+  hook :meth:`~repro.parallel.pool.SweepPool.submit_batch` returns a
+  :class:`concurrent.futures.Future`; it takes id lists under one
+  :class:`~repro.api.spec.BatchKey` and is what the query service
+  (:mod:`repro.service`) drives; :func:`serial_batch_ids` is the same
+  post-validation loop without processes (the service's 1-core mode).
 * :func:`repro.parallel.census.classify_masks` -- the same sharding
   for the configuration census's orbit detections; its sibling
   :func:`repro.parallel.census.receipt_counts` batches per-node

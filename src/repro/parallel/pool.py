@@ -9,15 +9,15 @@ writes an independent result.  This module shards a batch across
   **once** into a bytes payload (the index's pickle support drops its
   process-local memo caches), and every worker unpickles it **once** in
   its pool initializer -- never per run, never per chunk;
-* tasks are ``(position, [source-id lists], BatchKey, [stream keys])``
-  chunks -- a few dozen bytes each, carrying the *same*
+* tasks are ``([source-id lists], BatchKey, [stream keys])`` chunks
+  -- a few dozen bytes each, carrying the *same*
   :class:`~repro.api.spec.BatchKey` the batch was resolved to (the
   execution projection of the requests' :class:`~repro.api.spec.FloodSpec`)
   -- and results stream back as raw statistic tuples
   (:data:`~repro.fastpath.pure_backend.RawRun`), which the parent wraps
   into :class:`~repro.fastpath.engine.IndexedRun` against its own copy
   of the index;
-* ordered ``imap`` keeps results streaming back in deterministic input
+* ordered ``map_async`` delivers results in deterministic input
   order regardless of which worker finishes first, so parallel output
   is **bit-identical** to the serial sweep -- same dataclasses, same
   field values, same ordering (the determinism tests assert this across
@@ -50,9 +50,12 @@ Usage::
     runs = parallel_sweep(graph, sets)            # auto workers/chunks
     runs = parallel_sweep(graph, sets, workers=4) # pin the pool size
 
+    specs = [FloodSpec(graph, sources) for sources in sets]
     with SweepPool(graph, workers=4) as pool:     # serving shape
-        first = pool.sweep(sets)
-        again = pool.sweep(sets, backend="oracle")
+        first = pool.sweep_specs(specs)
+        again = pool.sweep_specs(
+            [spec.replace(backend="oracle") for spec in specs]
+        )
 """
 
 from __future__ import annotations
@@ -69,15 +72,14 @@ from repro.errors import ConfigurationError
 from repro.fastpath.engine import (
     IndexedRun,
     _resolve_budget,
+    batch_key_of,
     dispatch_batch,
-    ensure_homogeneous_specs,
-    routed_sweep_backend,
-    select_backend,
+    resolve_backend,
     wrap_raw_run,
 )
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.pure_backend import RawRun
-from repro.fastpath.variants import VariantSpec, variant_backend
+from repro.fastpath.variants import VariantSpec
 from repro.graphs.graph import Graph, Node
 
 MIN_PARALLEL_BATCH = 32
@@ -92,8 +94,7 @@ they get one).
 MAX_CHUNK = 64
 """Upper bound on the chunk heuristic, to keep results streaming."""
 
-_Task = Tuple[int, List[List[int]], BatchKey, Optional[List[int]]]
-_TaskResult = Tuple[int, List[RawRun]]
+_Task = Tuple[List[List[int]], BatchKey, Optional[List[int]]]
 
 # Per-worker state, populated exactly once by _init_worker.  Plain
 # module globals: each worker process gets its own copy, and the pool
@@ -139,7 +140,7 @@ def _init_worker(payload: bytes) -> None:
     _WORKER_INDEX = pickle.loads(payload)
 
 
-def _run_chunk(task: _Task) -> _TaskResult:
+def _run_chunk(task: _Task) -> List[RawRun]:
     """Worker body: run one chunk of source-id lists on the local index.
 
     The chunk carries the batch's :class:`BatchKey` verbatim -- the
@@ -149,8 +150,8 @@ def _run_chunk(task: _Task) -> _TaskResult:
     bitset sweep inside the worker too; ``MAX_CHUNK`` = 64 keeps those
     chunks word-aligned).
     """
-    position, id_lists, key, run_keys = task
-    return position, dispatch_batch(_WORKER_INDEX, id_lists, key, run_keys)
+    id_lists, key, run_keys = task
+    return dispatch_batch(_WORKER_INDEX, id_lists, key, run_keys)
 
 
 def _wrap_runs(
@@ -189,32 +190,27 @@ class SweepPool:
     """A persistent pool of workers warmed with one graph's CSR index.
 
     The serving-scale shape: build once per graph, push many batches
-    through :meth:`sweep`.  Construction forks/spawns ``workers``
-    processes and ships each the pickled index exactly once; after
-    that, every batch costs only its per-chunk dispatch.
+    through :meth:`sweep_specs` (or :meth:`submit_batch`).
+    Construction forks (on Linux; the platform default start method
+    elsewhere) ``workers`` processes and ships each the pickled index
+    exactly once; after that, every batch costs only its per-chunk
+    dispatch.
 
     Use as a context manager (or call :meth:`close`) to reap the
     workers deterministically.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, workers: Optional[int] = None) -> None:
         self.graph = graph
         self.index = IndexedGraph.of(graph)
-        self._probe_rounds: Optional[Tuple[int, ...]] = None
         self.workers = worker_count(workers)
-        if start_method is None and sys.platform == "linux":
-            # fork is the cheapest way to stand workers up, but it is
-            # only reliably safe on Linux (macOS frameworks and helper
-            # threads do not survive fork; spawn is that platform's
-            # default for a reason) -- everywhere else, keep the
-            # platform default.
-            start_method = "fork"
-        context = multiprocessing.get_context(start_method)
+        # fork is the cheapest way to stand workers up, but it is only
+        # reliably safe on Linux (macOS frameworks and helper threads do
+        # not survive fork; spawn is that platform's default for a
+        # reason) -- everywhere else, keep the platform default.
+        context = multiprocessing.get_context(
+            "fork" if sys.platform == "linux" else None
+        )
         payload = pickle.dumps(self.index, protocol=pickle.HIGHEST_PROTOCOL)
         self._pool = context.Pool(
             processes=self.workers,
@@ -223,37 +219,6 @@ class SweepPool:
         )
 
     # ------------------------------------------------------------------
-
-    def sweep(
-        self,
-        source_sets: Iterable[Iterable[Node]],
-        max_rounds: Optional[int] = None,
-        backend: Optional[str] = None,
-        chunksize: Optional[int] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-        variant: Optional[VariantSpec] = None,
-        probe: bool = True,
-    ) -> List[IndexedRun]:
-        """Run one batch across the pool; results in input order.
-
-        Same signature and semantics as :func:`repro.fastpath.sweep`
-        (validation, budget resolution and backend selection all happen
-        in the parent, so errors surface before any work is
-        dispatched), including the probe-aware ``backend=None`` routing
-        and the ``variant`` stepper lane with its per-position seed
-        streams.  The kwargs resolve to one :class:`BatchKey` exactly
-        like a :meth:`sweep_specs` batch.
-        """
-        id_lists = [
-            self.index.resolve_sources(sources) for sources in source_sets
-        ]
-        budget = _resolve_budget(self.graph, max_rounds)
-        chosen = self._resolve_backend(backend, budget, variant, probe)
-        key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
-        return self._sweep_ids(
-            id_lists, key, chunksize, _variant_run_keys(variant, len(id_lists))
-        )
 
     def sweep_specs(
         self,
@@ -265,10 +230,12 @@ class SweepPool:
         The pool twin of :func:`repro.fastpath.engine.sweep_specs`: the
         specs must agree on graph, budget, backend, probe, variant and
         collection flags (they may differ in sources and RNG
-        ``stream``), resolve to one :class:`BatchKey`, and every run
-        carries its own spec's stream key into whatever chunk it lands
-        on -- bit-identical to the serial spec sweep for every worker
-        count and chunk size.
+        ``stream``), resolve to one :class:`BatchKey` through
+        :func:`~repro.fastpath.engine.batch_key_of` on the pool's index
+        (whose memoised rounds probe the pool pays for at most once),
+        and every run carries its own spec's stream key into whatever
+        chunk it lands on -- bit-identical to the serial spec sweep for
+        every worker count and chunk size.
         """
         specs = list(specs)
         if not specs:
@@ -277,7 +244,7 @@ class SweepPool:
             raise ConfigurationError(
                 "sweep_specs: the specs' graph is not this pool's graph"
             )
-        key = self._spec_batch_key(specs)
+        key = batch_key_of(specs, self.index)
         id_lists = [
             self.index.resolve_sources(spec.sources) for spec in specs
         ]
@@ -286,72 +253,7 @@ class SweepPool:
             if key.variant is not None
             else None
         )
-        return self._sweep_ids(id_lists, key, chunksize, run_keys)
-
-    def _spec_batch_key(self, specs: Sequence[FloodSpec]) -> BatchKey:
-        """Batch-resolve specs through the pool's cached probe."""
-        head = ensure_homogeneous_specs(specs)
-        chosen = self._resolve_backend(
-            head.backend, head.max_rounds, head.variant, head.probe
-        )
-        return head.batch_key(chosen)
-
-    def sweep_async(
-        self,
-        source_sets: Iterable[Iterable[Node]],
-        max_rounds: Optional[int] = None,
-        backend: Optional[str] = None,
-        chunksize: Optional[int] = None,
-        collect_senders: bool = False,
-        collect_receives: bool = False,
-        variant: Optional[VariantSpec] = None,
-        probe: bool = True,
-    ) -> "Future[List[IndexedRun]]":
-        """Submit one batch without blocking; returns a future of the runs.
-
-        The non-blocking twin of :meth:`sweep` and the hook the async
-        service layer (:mod:`repro.service`) drives: validation, budget
-        resolution and backend selection still happen synchronously in
-        the caller (errors raise *here*, before anything is enqueued),
-        then the chunks are handed to the pool and a
-        :class:`concurrent.futures.Future` completes -- on the pool's
-        result-handler thread -- with exactly the list :meth:`sweep`
-        would have returned.  Bridge it into an event loop with
-        :func:`asyncio.wrap_future`.
-        """
-        id_lists = [
-            self.index.resolve_sources(sources) for sources in source_sets
-        ]
-        budget = _resolve_budget(self.graph, max_rounds)
-        chosen = self._resolve_backend(backend, budget, variant, probe)
-        key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
-        return self.submit_batch(
-            id_lists, key, chunksize, _variant_run_keys(variant, len(id_lists))
-        )
-
-    def _resolve_backend(
-        self,
-        backend: Optional[str],
-        budget: int,
-        variant: Optional[VariantSpec],
-        probe: bool,
-    ) -> str:
-        """The same backend rules as the serial sweep, on the pool index.
-
-        The rounds probe is cached on the pool: the index is frozen for
-        the pool's lifetime, and a warm pool serving many small batches
-        (its whole reason to exist) must not pay O(samples * (n + m))
-        cover-BFS per batch.
-        """
-        if variant is not None:
-            return variant_backend(self.index, backend, variant)
-        if backend is not None or not probe:
-            return select_backend(self.index, backend)
-        from repro.fastpath.probe import probe_termination_rounds, routed_backend
-
-        if self._probe_rounds is None:
-            self._probe_rounds = probe_termination_rounds(self.index)
-        return routed_backend(self.index, self._probe_rounds, budget)
+        return self.submit_batch(id_lists, key, chunksize, run_keys).result()
 
     def submit_batch(
         self,
@@ -362,15 +264,19 @@ class SweepPool:
     ) -> "Future[List[IndexedRun]]":
         """Submit already-resolved id lists under one :class:`BatchKey`.
 
-        The async post-validation core, used by the service layer: it
-        resolves and validates sources itself so it can batch requests
-        in id space, and its micro-batch buckets are keyed by exactly
-        the ``key`` object submitted here.  For variant work the caller
+        The pool's one dispatch path: the blocking forms
+        (:meth:`sweep_specs`, :func:`parallel_sweep`) wait on its
+        future, and the service layer awaits it -- the service resolves
+        and validates sources itself so it can batch requests in id
+        space, and its micro-batch buckets are keyed by exactly the
+        ``key`` object submitted here.  For variant work the caller
         supplies one RNG stream key per id list (the service derives
         them per *request*, so coalescing cannot move a query onto a
-        different stream).  The returned future resolves to the same
-        (ordered, parent-index-wrapped) runs the blocking path
-        produces; a worker failure resolves it exceptionally instead.
+        different stream).  The returned future resolves to the
+        ordered, parent-index-wrapped runs; a worker failure resolves
+        it exceptionally instead.  Sharding and validation
+        (``chunksize``, ``run_keys``) errors raise synchronously,
+        before anything is enqueued.
         """
         future: "Future[List[IndexedRun]]" = Future()
         future.set_running_or_notify_cancel()
@@ -379,11 +285,11 @@ class SweepPool:
             return future
         tasks = self._make_tasks(id_lists, key, chunksize, run_keys)
 
-        def on_done(ordered: List[_TaskResult]) -> None:
-            # map_async delivers every chunk in task order, so flatten
-            # and rehydrate exactly like the blocking path.
+        def on_done(ordered: List[List[RawRun]]) -> None:
+            # map_async delivers every chunk in task order, so flattening
+            # recovers input order without a sort.
             try:
-                raw_runs = [raw for _, chunk in ordered for raw in chunk]
+                raw_runs = [raw for chunk in ordered for raw in chunk]
                 future.set_result(
                     _wrap_runs(self.index, id_lists, raw_runs, key)
                 )
@@ -403,7 +309,7 @@ class SweepPool:
         chunksize: Optional[int],
         run_keys: Optional[Sequence[int]] = None,
     ) -> List[_Task]:
-        """Shard id lists into positioned chunk tasks (shared by both paths).
+        """Shard id lists into chunk tasks, in input order.
 
         ``run_keys`` is sliced with the same offsets as ``id_lists``: a
         run carries its stream key with it into whichever chunk and
@@ -424,7 +330,6 @@ class SweepPool:
             )
         return [
             (
-                start,
                 list(id_lists[start : start + chunksize]),
                 key,
                 (
@@ -435,26 +340,6 @@ class SweepPool:
             )
             for start in range(0, len(id_lists), chunksize)
         ]
-
-    def _sweep_ids(
-        self,
-        id_lists: Sequence[List[int]],
-        key: BatchKey,
-        chunksize: Optional[int],
-        run_keys: Optional[Sequence[int]] = None,
-    ) -> List[IndexedRun]:
-        """Dispatch already-resolved id lists (the post-validation core)."""
-        if not id_lists:
-            return []
-        tasks = self._make_tasks(id_lists, key, chunksize, run_keys)
-        raw_runs: List[RawRun] = []
-        # Ordered imap: chunks stream back in submission order even
-        # when a later chunk finishes first, so concatenation recovers
-        # input order without a sort.
-        for position, chunk_results in self._pool.imap(_run_chunk, tasks):
-            assert position == len(raw_runs), "chunk streamed out of order"
-            raw_runs.extend(chunk_results)
-        return _wrap_runs(self.index, id_lists, raw_runs, key)
 
     # ------------------------------------------------------------------
 
@@ -545,10 +430,7 @@ def parallel_sweep(
     index = IndexedGraph.of(graph)
     id_lists = [index.resolve_sources(sources) for sources in source_sets]
     budget = _resolve_budget(graph, max_rounds)
-    if variant is not None:
-        chosen = variant_backend(index, backend, variant)
-    else:
-        chosen = routed_sweep_backend(index, backend, budget, probe)
+    chosen = resolve_backend(index, backend, budget, variant, probe, batch=True)
     if chunksize is not None and chunksize < 1:
         raise ConfigurationError("chunksize must be >= 1")
     key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
@@ -560,4 +442,4 @@ def parallel_sweep(
     if serial:
         return serial_batch_ids(index, id_lists, key, run_keys)
     with SweepPool(graph, workers=resolved_workers) as pool:
-        return pool._sweep_ids(id_lists, key, chunksize, run_keys)
+        return pool.submit_batch(id_lists, key, chunksize, run_keys).result()

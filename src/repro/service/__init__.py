@@ -14,9 +14,10 @@ naturally, and degrade gracefully under load.
   (:class:`QueryTimeout`), per-topology registration/caching, and
   rounds-aware backend routing;
 * :class:`MicroBatcher` -- the window/size coalescing policy;
-* :class:`Router` -- the per-graph cached routing decisions (long
-  floods to the O(n + m) oracle backend, short dense ones to the
-  vectorised frontier engine);
+* :class:`Router` -- the routing hook: the batch rule of
+  :func:`repro.fastpath.engine.resolve_backend` (long floods to the
+  O(n + m) oracle backend, short dense ones to the vectorised
+  frontier engine), with the rounds probe memoised per index;
 * :mod:`repro.service.errors` -- the typed error family
   (:class:`ServiceError` and friends, all under
   :class:`repro.errors.ReproError`).

@@ -1,88 +1,26 @@
 """Rounds-aware backend routing for the flood-query service.
 
-The routing rules, in precedence order:
-
-1. **Explicit wins.**  A request that names a backend (``"pure"`` /
-   ``"numpy"`` / ``"oracle"``) gets exactly that backend, validated by
-   :func:`repro.fastpath.select_backend`.
-2. **Probed default.**  ``backend=None`` consults the graph's rounds
-   probe (:func:`repro.fastpath.probe_termination_rounds`, computed
-   once per registered topology and cached): when the expected
-   executed rounds -- worst sampled prediction, clamped to the
-   request's round budget -- reach
-   :data:`~repro.fastpath.probe.ORACLE_ROUND_THRESHOLD`, the request
-   routes to the O(n + m) oracle backend; otherwise to the frontier
-   auto-selection (numpy for large arc counts, else pure).
-
-Both steps are deterministic for a given (graph, budget), so the
-backend recorded on a result never depends on request interleaving --
-part of the service's bit-identical-to-serial contract.  Routing also
-participates in batching: the resolved backend name is part of the
-micro-batch key, so an oracle-routed long flood never rides in the
-same pool task as a numpy-routed dense one.
+The service resolves every request with the batch rule of
+:func:`repro.fastpath.engine.resolve_backend`, the one resolution rule
+all tiers share: variants run on the pure stepper, explicit names (and
+``probe=False``) win, and ``backend=None`` consults the rounds probe
+memoised on the index, routing long floods to the O(n + m) oracle.
+The rule is a pure function of (graph, budget), so the backend recorded
+on a result -- and the micro-batch key it joins -- never depends on
+load or request interleaving.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.fastpath.engine import select_backend
+from repro.fastpath.engine import resolve_backend
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.probe import probe_termination_rounds, routed_backend
-from repro.fastpath.variants import VariantSpec, variant_backend
-
-
-MAX_CACHED_PROBES = 64
-"""Router probe LRU bound (safety net above the service's graph LRU)."""
+from repro.fastpath.variants import VariantSpec
 
 
 class Router:
-    """Per-service routing state: one cached rounds probe per topology.
-
-    The probe costs a few cover-BFS passes -- O(samples * (n + m)) --
-    which is noise across a serving workload but real money per query;
-    the router pays it at most once per topology.  The cache is keyed
-    by the :class:`~repro.graphs.graph.Graph` itself (hashable and
-    equality-stable), *not* by the :class:`IndexedGraph` object: index
-    objects are recreated whenever the global index LRU churns, and an
-    identity key would both recompute the probe per query and leak one
-    entry per recreation.  A small LRU bound keeps the cache finite
-    even for topologies that come and go without an explicit
-    :meth:`forget`.
-    """
-
-    def __init__(self, samples: Optional[int] = None) -> None:
-        self._samples = samples
-        self._probes: "OrderedDict[object, Tuple[int, ...]]" = OrderedDict()
-
-    def probe(self, index: IndexedGraph) -> Tuple[int, ...]:
-        """The (cached) sampled termination-round predictions for ``index``."""
-        cached = self.peek(index)
-        if cached is None:
-            cached = self.compute(index)
-            self.prime(index, cached)
-        return cached
-
-    def peek(self, index: IndexedGraph) -> Optional[Tuple[int, ...]]:
-        """The cached probe, or ``None`` -- never computes."""
-        cached = self._probes.get(index.graph)
-        if cached is not None:
-            self._probes.move_to_end(index.graph)
-        return cached
-
-    def compute(self, index: IndexedGraph) -> Tuple[int, ...]:
-        """The pure probe computation: no cache access, so the service
-        can run it on an executor thread without racing the loop."""
-        if self._samples is None:
-            return probe_termination_rounds(index)
-        return probe_termination_rounds(index, self._samples)
-
-    def prime(self, index: IndexedGraph, rounds: Tuple[int, ...]) -> None:
-        """Store a probe computed elsewhere (loop-thread call)."""
-        self._probes[index.graph] = rounds
-        while len(self._probes) > MAX_CACHED_PROBES:
-            self._probes.popitem(last=False)
+    """The service's routing hook: the batch rule, no state of its own."""
 
     def resolve(
         self,
@@ -92,28 +30,4 @@ class Router:
         variant: Optional[VariantSpec] = None,
         probe: bool = True,
     ) -> str:
-        """Apply the routing rules; returns a concrete backend name.
-
-        Variant requests bypass the rounds probe entirely: a stochastic
-        (or non-amnesiac) run is not the process the double-cover
-        oracle predicts, so no expected-rounds estimate may ever route
-        one there -- they resolve to the pure arc-mask stepper (and an
-        explicit oracle/numpy request is a configuration error).
-        ``probe=False`` (a :class:`~repro.api.spec.FloodSpec` opt-out)
-        restores the plain frontier auto-selection for ``backend=None``.
-        """
-        if variant is not None:
-            return variant_backend(index, backend, variant)
-        if backend is not None or not probe:
-            return select_backend(index, backend)
-        return routed_backend(index, self.probe(index), budget)
-
-    def resolve_spec(self, index: IndexedGraph, spec) -> str:
-        """Routing from a :class:`~repro.api.spec.FloodSpec` alone."""
-        return self.resolve(
-            index, spec.backend, spec.max_rounds, spec.variant, spec.probe
-        )
-
-    def forget(self, index: IndexedGraph) -> None:
-        """Drop the cached probe for an evicted topology."""
-        self._probes.pop(index.graph, None)
+        return resolve_backend(index, backend, budget, variant, probe, batch=True)

@@ -10,7 +10,7 @@ and timeouts, per-topology caching and rounds-aware backend routing.
 Dataflow (one request's life)::
 
     caller ──FloodSpec()───►  validated at construction (errors raise here)
-    caller ──query_spec()──►  route backend (probe cache)
+    caller ──query_spec()──►  route backend (memoised rounds probe)
                               admit: bounded pending gate ── full? ──► QueueFull
                                                                   or await slot
                               micro-batcher bucket keyed by the spec's
@@ -55,11 +55,12 @@ from typing import (
 )
 
 from repro.api.spec import BatchKey, FloodSpec
-from repro.cache.keys import decode_run, encode_run, result_cache_key
+from repro.cache.keys import decode_run, encode_run, lookup_run, result_cache_key
 from repro.cache.lru import CacheStats, ResultCache
 from repro.errors import ConfigurationError
 from repro.fastpath.engine import IndexedRun
 from repro.fastpath.indexed import IndexedGraph
+from repro.fastpath.probe import index_probe
 from repro.graphs.graph import Graph
 from repro.parallel.pool import SweepPool, serial_batch_ids, worker_count
 from repro.service.batcher import MicroBatcher
@@ -273,7 +274,7 @@ class FloodService:
         Micro-batching policy -- see :class:`~repro.service.batcher.MicroBatcher`.
     max_graphs:
         Registered topologies kept warm (LRU eviction closes the
-        evicted graph's pool and drops its caches).
+        evicted graph's pool).
     on_full:
         Default backpressure behaviour: ``"raise"`` fails fast with
         :class:`QueueFull`; ``"wait"`` queues the caller (FIFO) until
@@ -311,8 +312,6 @@ class FloodService:
         max_graphs: int = DEFAULT_MAX_GRAPHS,
         on_full: str = RAISE,
         default_timeout: Optional[float] = None,
-        start_method: Optional[str] = None,
-        probe_samples: Optional[int] = None,
         cache: Optional[ResultCache] = None,
     ) -> None:
         if workers is not None and workers < 0:
@@ -345,8 +344,7 @@ class FloodService:
         self.stats = ServiceStats()
         self._results = cache
         self._inflight_results: Dict[str, "asyncio.Future[bytes]"] = {}
-        self._start_method = start_method
-        self._router = Router(samples=probe_samples)
+        self._router = Router()
         self._gate = _AdmissionGate(max_pending)
         self._batcher = MicroBatcher(batch_window, max_batch, self._dispatch)
         self._graphs: "OrderedDict[Graph, _GraphEntry]" = OrderedDict()
@@ -413,8 +411,8 @@ class FloodService:
 
         Registration is where the per-graph costs are paid once: the
         CSR freeze, the pickled-index transfer into a warm worker pool
-        (when ``workers >= 1``), and the routing probe on first routed
-        query.  This call **blocks** while the pool forks and warms --
+        (when ``workers >= 1``), and the routing probe (memoised on the
+        index).  This call **blocks** while the pool forks and warms --
         that is its purpose (move the warm-up off the first request's
         latency); call it from setup code, not from a latency-sensitive
         coroutine.  ``query_spec``/``query_batch_specs`` auto-register unseen
@@ -429,7 +427,7 @@ class FloodService:
             entry.pool = self._build_pool(entry.graph)
         # Warm the routing probe as well -- register() is the blocking
         # warm-up hook, and the first routed query should pay nothing.
-        self._router.probe(entry.index)
+        index_probe(entry.index)
         return entry.index
 
     @staticmethod
@@ -446,9 +444,7 @@ class FloodService:
             entry.pool_task = None
 
     def _build_pool(self, graph: Graph) -> SweepPool:
-        return SweepPool(
-            graph, workers=self.workers, start_method=self._start_method
-        )
+        return SweepPool(graph, workers=self.workers)
 
     def _touch_or_insert(self, graph: Graph) -> _GraphEntry:
         entry = self._graphs.get(graph)
@@ -509,19 +505,13 @@ class FloodService:
             None, partial(self._build_pool, entry.graph)
         )
         entry.pool = pool
-        if self._router.peek(entry.index) is None:
-            # Pre-compute the routing probe off-loop too: its cover-BFS
-            # passes are O(samples * (n + m)) and would otherwise run on
-            # the loop thread during the first routed query.  compute()
-            # is pure; only the cache write happens on the loop.
-            rounds = await loop.run_in_executor(
-                None, partial(self._router.compute, entry.index)
-            )
-            self._router.prime(entry.index, rounds)
+        # Warm the routing probe off-loop too: its cover-BFS passes are
+        # O(samples * (n + m)) and would otherwise run on the loop
+        # thread during the first routed query (a memo hit is free).
+        await loop.run_in_executor(None, index_probe, entry.index)
         return pool
 
     def _evict(self, entry: _GraphEntry) -> None:
-        self._router.forget(entry.index)
         if entry.pool is None and entry.pool_task is None:
             return
         if self._loop is not None and self._loop.is_running():
@@ -586,15 +576,12 @@ class FloodService:
         if cache is not None and spec.cache != "bypass":
             key = result_cache_key(spec, chosen)
             if spec.cache == "use":
-                blob = cache.get(key)
-                if blob is not None:
-                    run = decode_run(blob, spec, entry.index)
-                    if run is not None:
-                        entry.untrack(1)
-                        self.stats.queries += 1
-                        self.stats.cache_hits += 1
-                        return run
-                    cache.note_corrupt(key)
+                run = lookup_run(cache, key, spec, entry.index)
+                if run is not None:
+                    entry.untrack(1)
+                    self.stats.queries += 1
+                    self.stats.cache_hits += 1
+                    return run
                 joinable = self._inflight_results.get(key)
                 if joinable is not None and not joinable.done():
                     entry.untrack(1)
@@ -714,14 +701,11 @@ class FloodService:
                     continue
                 key = result_cache_key(spec, chosen)
                 if spec.cache == "use":
-                    blob = cache.get(key)
-                    if blob is not None:
-                        run = decode_run(blob, spec, entry.index)
-                        if run is not None:
-                            results[position] = run
-                            self.stats.cache_hits += 1
-                            continue
-                        cache.note_corrupt(key)
+                    run = lookup_run(cache, key, spec, entry.index)
+                    if run is not None:
+                        results[position] = run
+                        self.stats.cache_hits += 1
+                        continue
                     joinable = self._inflight_results.get(key)
                     if joinable is not None and not joinable.done():
                         joins.append((position, joinable))
@@ -827,7 +811,7 @@ class FloodService:
         try:
             # Routing runs after entry acquisition so a cold graph's
             # probe is the one _warm_pool precomputed off-loop; for a
-            # warm topology this is a cache hit.
+            # warm topology this is a memo hit.
             chosen = self._router.resolve(
                 entry.index,
                 spec.backend,

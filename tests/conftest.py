@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from typing import List, Tuple
 
 import pytest
@@ -41,6 +42,15 @@ def triangle() -> Graph:
 def even_cycle() -> Graph:
     """Figure 3's six-cycle."""
     return paper_even_cycle()
+
+
+@pytest.fixture
+def fresh_indexes(monkeypatch):
+    """An empty CSR-index LRU for the test, so every graph is indexed
+    anew and no earlier test's memoised rounds probe is reused."""
+    import repro.fastpath.indexed as indexed_module
+
+    monkeypatch.setattr(indexed_module, "_INDEX_CACHE", OrderedDict())
 
 
 # ----------------------------------------------------------------------

@@ -85,10 +85,11 @@ class TestRoutedSweepBackend:
             assert left.termination_round == right.termination_round
             assert left.total_messages == right.total_messages
 
-    def test_warm_pool_probes_once(self, monkeypatch):
-        # A warm pool's index never changes; the probe must be paid at
-        # most once per pool, not once per batch.
+    def test_warm_pool_probes_once(self, monkeypatch, fresh_indexes):
+        # A warm pool's index never changes; the probe memoised on it
+        # must be paid at most once per pool, not once per batch.
         import repro.fastpath.probe as probe_module
+        from repro.api import FloodSpec
         from repro.parallel import SweepPool
 
         graph = cycle_graph(2 * ORACLE_ROUND_THRESHOLD + 1)
@@ -103,8 +104,8 @@ class TestRoutedSweepBackend:
             probe_module, "probe_termination_rounds", counting
         )
         with SweepPool(graph, workers=1) as pool:
-            first = pool.sweep([[0]])
-            second = pool.sweep([[3]])
+            first = pool.sweep_specs([FloodSpec(graph, (0,))])
+            second = pool.sweep_specs([FloodSpec(graph, (3,))])
         assert [run.backend for run in first + second] == ["oracle", "oracle"]
         assert len(calls) == 1
 

@@ -1,8 +1,8 @@
-"""The pool's async submission hooks: futures, not blocking calls.
+"""The pool's async submission hook: futures, not blocking calls.
 
-``SweepPool.sweep_async`` / ``submit_batch`` are the bridge the service
-layer stands on: same validation, same determinism, delivered through
-a :class:`concurrent.futures.Future` completed off-thread.
+``SweepPool.submit_batch`` is the bridge the service layer stands on:
+same determinism as the blocking sweep, delivered through a
+:class:`concurrent.futures.Future` completed off-thread.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.api import BatchKey
-from repro.errors import ConfigurationError, NodeNotFoundError
-from repro.fastpath import IndexedGraph, routed_sweep_backend, sweep
+from repro.api import BatchKey, FloodSpec
+from repro.errors import ConfigurationError
+from repro.fastpath import IndexedGraph, batch_key_of, routed_sweep_backend, sweep
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import SweepPool, serial_batch_ids
 from repro.parallel.pool import _resolve_budget
@@ -40,12 +40,19 @@ def workload():
     return graph, [[v] for v in graph.nodes()[:12]]
 
 
-class TestSweepAsync:
+def submit(pool, source_sets, **fields):
+    """Resolve a batch the way the service does, then submit it."""
+    specs = [FloodSpec(pool.graph, tuple(s), **fields) for s in source_sets]
+    id_lists = [pool.index.resolve_sources(spec.sources) for spec in specs]
+    return pool.submit_batch(id_lists, batch_key_of(specs, pool.index))
+
+
+class TestSubmitBatch:
     def test_future_resolves_to_serial_result(self, workload):
         graph, source_sets = workload
         serial = sweep(graph, source_sets)
         with SweepPool(graph, workers=2) as pool:
-            future = pool.sweep_async(source_sets)
+            future = submit(pool, source_sets)
             assert isinstance(future, Future)
             assert_runs_identical(serial, future.result(timeout=60))
 
@@ -53,31 +60,31 @@ class TestSweepAsync:
         graph, source_sets = workload
         serial = sweep(graph, source_sets)
         with SweepPool(graph, workers=2) as pool:
-            futures = [pool.sweep_async(source_sets) for _ in range(4)]
+            futures = [submit(pool, source_sets) for _ in range(4)]
             for future in futures:
                 assert_runs_identical(serial, future.result(timeout=60))
 
     def test_validation_raises_synchronously(self, workload):
         graph, _ = workload
+        key = BatchKey(10, "pure", False, False)
         with SweepPool(graph, workers=1) as pool:
-            with pytest.raises(NodeNotFoundError):
-                pool.sweep_async([["missing"]])
             with pytest.raises(ConfigurationError):
-                pool.sweep_async([[graph.nodes()[0]]], max_rounds=0)
+                pool.submit_batch([[0]], key, chunksize=0)
             with pytest.raises(ConfigurationError):
-                pool.sweep_async([[graph.nodes()[0]]], backend="cuda")
+                pool.submit_batch([[0]], key, run_keys=[1, 2])
 
     def test_empty_batch_resolves_immediately(self, workload):
         graph, _ = workload
+        key = BatchKey(10, "pure", False, False)
         with SweepPool(graph, workers=1) as pool:
-            assert pool.sweep_async([]).result(timeout=5) == []
+            assert pool.submit_batch([], key).result(timeout=5) == []
 
     def test_bridges_into_asyncio(self, workload):
         graph, source_sets = workload
         serial = sweep(graph, source_sets, backend="oracle")
 
         async def main(pool):
-            future = pool.sweep_async(source_sets, backend="oracle")
+            future = submit(pool, source_sets, backend="oracle")
             return await asyncio.wrap_future(future)
 
         with SweepPool(graph, workers=2) as pool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import FloodSpec
 from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.fastpath import IndexedGraph, sweep
 from repro.graphs import cycle_graph, erdos_renyi, paper_triangle
@@ -180,6 +181,10 @@ class TestValidation:
             parallel_sweep(cycle_graph(5), [[0]], backend="cuda")
 
 
+def specs_of(graph, source_sets, **fields):
+    return [FloodSpec(graph, tuple(sources), **fields) for sources in source_sets]
+
+
 class TestSweepPool:
     def test_pool_reuse_across_batches_and_backends(self):
         graph = erdos_renyi(80, 0.08, seed=13, connected=True)
@@ -187,16 +192,20 @@ class TestSweepPool:
         first = [[v] for v in nodes[:10]]
         second = [[v] for v in nodes[10:20]]
         with SweepPool(graph, workers=2) as pool:
-            got_first = pool.sweep(first)
-            got_second = pool.sweep(second, backend="oracle")
-            cut = pool.sweep(first, max_rounds=2)
+            got_first = pool.sweep_specs(specs_of(graph, first))
+            got_second = pool.sweep_specs(
+                specs_of(graph, second, backend="oracle")
+            )
+            cut = pool.sweep_specs(specs_of(graph, first, max_rounds=2))
         assert_runs_identical(sweep(graph, first), got_first)
         assert_runs_identical(sweep(graph, second, backend="oracle"), got_second)
         assert_runs_identical(sweep(graph, first, max_rounds=2), cut)
 
     def test_pool_label_space(self):
         with SweepPool(paper_triangle(), workers=2) as pool:
-            runs = pool.sweep([["b"], ["a", "c"]])
+            runs = pool.sweep_specs(
+                specs_of(paper_triangle(), [["b"], ["a", "c"]])
+            )
         assert runs[0].sources == ("b",)
         assert [run.termination_round for run in runs] == [3, 2]
 

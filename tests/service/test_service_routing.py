@@ -9,6 +9,10 @@ or interleaving.
 from __future__ import annotations
 
 import asyncio
+import pickle
+import threading
+
+import pytest
 
 from repro.api import FloodSpec
 from repro.fastpath import (
@@ -21,6 +25,7 @@ from repro.fastpath import (
     select_backend,
     sweep,
 )
+from repro.fastpath.probe import index_probe
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi
 from repro.service import FloodService
 from repro.service.routing import Router
@@ -145,112 +150,84 @@ class TestServiceRouting:
         assert sum(mix.values()) == 2
 
 
-class TestRouterCache:
+def patch_probe(monkeypatch, replacement):
+    import repro.fastpath.probe as probe_module
+
+    monkeypatch.setattr(probe_module, "probe_termination_rounds", replacement)
+
+
+def counting_probe(monkeypatch):
+    """Patch the probe with a recorder; returns the list of calls."""
+    calls = []
+
+    def counting(index, *args, **kwargs):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return probe_termination_rounds(index, *args, **kwargs)
+
+    patch_probe(monkeypatch, counting)
+    return calls
+
+
+@pytest.mark.usefixtures("fresh_indexes")
+class TestProbeMemo:
     def test_probe_computed_once_per_index(self, monkeypatch):
-        import repro.service.routing as routing_module
-
-        calls = []
-        original = routing_module.probe_termination_rounds
-
-        def counting(index, *args, **kwargs):
-            calls.append(index)
-            return original(index, *args, **kwargs)
-
-        monkeypatch.setattr(
-            routing_module, "probe_termination_rounds", counting
-        )
+        calls = counting_probe(monkeypatch)
         router = Router()
         index = IndexedGraph.of(cycle_graph(15))
-        budget = 100
-        first = router.resolve(index, None, budget)
-        second = router.resolve(index, None, budget)
+        first = router.resolve(index, None, 100)
+        second = router.resolve(index, None, 100)
         assert first == second
         assert len(calls) == 1
 
     def test_explicit_backend_skips_probe(self, monkeypatch):
-        import repro.service.routing as routing_module
-
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("explicit backends must not probe")
 
-        monkeypatch.setattr(routing_module, "probe_termination_rounds", boom)
+        patch_probe(monkeypatch, boom)
         router = Router()
         index = IndexedGraph.of(cycle_graph(15))
         assert router.resolve(index, "pure", 100) == "pure"
 
-    def test_forget_drops_cache(self):
-        router = Router()
+    def test_memo_is_dropped_on_pickling(self, monkeypatch):
+        """The memo is process-local working state, like the backend
+        caches: an unpickled index (a pool worker's copy) starts cold."""
+        calls = counting_probe(monkeypatch)
         index = IndexedGraph.of(cycle_graph(15))
-        router.resolve(index, None, 100)
-        assert router._probes
-        router.forget(index)
-        assert not router._probes
+        assert index_probe(index) == index_probe(index)
+        copy = pickle.loads(pickle.dumps(index))
+        assert index_probe(copy) == index_probe(index)
+        assert len(calls) == 2
 
-    def test_probe_survives_index_object_churn(self, monkeypatch):
-        """The cache keys by graph, not index identity: a recreated
-        IndexedGraph (global index-LRU churn) must neither recompute
-        the probe nor leak a second cache entry."""
-        import repro.service.routing as routing_module
-        from repro.fastpath.indexed import IndexedGraph as IG
-
-        calls = []
-        original = routing_module.probe_termination_rounds
-
-        def counting(index, *args, **kwargs):
-            calls.append(index)
-            return original(index, *args, **kwargs)
-
-        monkeypatch.setattr(
-            routing_module, "probe_termination_rounds", counting
-        )
-        graph = cycle_graph(15)
-        router = Router()
-        first = router.resolve(IG(graph), None, 100)  # fresh object
-        second = router.resolve(IG(graph), None, 100)  # another fresh object
-        assert first == second
-        assert len(calls) == 1
-        assert len(router._probes) == 1
-
-    def test_register_warms_the_probe(self):
+    def test_register_warms_the_probe(self, monkeypatch):
         """register() is the blocking warm-up hook: after it, the first
-        routed query must find the probe cached (no cover-BFS on the
+        routed query must find the probe memoised (no cover-BFS on the
         event-loop thread)."""
-        graph = cycle_graph(21)
+        graph = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
         service = FloodService(workers=0)
+        calls = counting_probe(monkeypatch)
         service.register(graph)
-        assert service._router.peek(IndexedGraph.of(graph)) is not None
+        assert calls == [True]
 
-    def test_pooled_auto_registration_warms_the_probe_off_loop(self):
-        """Auto-registering a cold graph through query() computes the
-        probe exactly once, on an executor thread -- not on the event
-        loop -- and routing then resolves from the cache."""
-        import threading
+        async def run():
+            async with service:
+                return await service.query_spec(FloodSpec(graph, [0]))
 
+        assert asyncio.run(run()).backend == "oracle"
+        assert calls == [True]
+
+    def test_pooled_auto_registration_warms_the_probe_off_loop(
+        self, monkeypatch
+    ):
+        """Auto-registering a cold graph through query_spec() computes
+        the probe exactly once, on an executor thread -- not on the
+        event loop -- and routing then reads the memo."""
         graph = cycle_graph(23)
-        on_main_thread = []
+        on_main_thread = counting_probe(monkeypatch)
 
         async def run():
             async with FloodService(workers=1) as service:
-                original = service._router.compute
-
-                def spy(index):
-                    on_main_thread.append(
-                        threading.current_thread()
-                        is threading.main_thread()
-                    )
-                    return original(index)
-
-                service._router.compute = spy
                 return await service.query_spec(FloodSpec(graph, [0]))
 
         result = asyncio.run(run())
         assert result.termination_round == 23
         assert on_main_thread == [False]
-
-    def test_probe_cache_is_bounded(self):
-        from repro.service.routing import MAX_CACHED_PROBES
-
-        router = Router(samples=1)
-        for n in range(3, 3 + MAX_CACHED_PROBES + 10):
-            router.resolve(IndexedGraph.of(cycle_graph(n)), None, 1)
-        assert len(router._probes) == MAX_CACHED_PROBES
