@@ -23,14 +23,18 @@
 #                 hits) + the examples suite (the
 #                 facade-based examples run whole per PR) + the
 #                 perfbench self-tests (its tracer fails loudly when
-#                 a repro name it instruments moves) + the tier-1
-#                 suite
+#                 a repro name it instruments moves) + a traced
+#                 one-second perfbench pass per workload (exits
+#                 non-zero unless failed == 0: catches a deleted
+#                 binding name or a wrong answer end to end) + the
+#                 tier-1 suite
 #   make bench  - full benchmark run; rewrites BENCH_fastpath.json
 #   make examples - the examples suite (quick examples run end-to-end)
 #   make example- the quickstart example, as a living doc check
 
 PYTHON ?= python
 SMOKE_SUMMARY ?= smoke-summary.json
+PERFBENCH_WORKLOADS ?= sweep_long sweep_dense serve_trickle serve_zipf
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint typecheck smoke bench example examples
@@ -64,6 +68,10 @@ smoke:
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
 	$(PYTHON) -m pytest -x -q perfbench/tests
+	for workload in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 7 \
+			--seconds 1 --trace 1 || exit 1; \
+	done
 	$(PYTHON) -m pytest -x -q
 
 bench:

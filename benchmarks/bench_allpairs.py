@@ -1,20 +1,21 @@
-"""EXT-AP: the word-packed bitset oracle on the all-pairs workload.
+"""EXT-AP: all-pairs termination and the frontier-engine crossover.
 
-PR 7's tentpole floods a whole batch of source sets in **one** sweep
-over the implicit double cover, carrying a ``uint64`` bitset column per
-cover node -- 64 sources per word pass, all pairs in O(n * (n + m))
-words total.  These rows measure the two claims the reroute rests on:
+``all_pairs_termination`` floods one batch of two-source sets over a
+graph.  These rows measure the two claims its ``backend=None`` batch
+rests on:
 
-* ``bitset_vs_per_source`` -- the acceptance row: a 2k-node all-pairs
-  workload (``all_pairs_termination`` with a pair cap) through the
-  bitset lane vs the same pairs through the per-source oracle backend,
-  round-for-round identical, **>= 5x** asserted on the full workload;
-* ``frontier_crossover`` -- the degree-aware selection evidence: the
-  pure and numpy frontier engines timed head-to-head at mean degree
-  2 / 8 / 32 past ``NUMPY_ARC_THRESHOLD``.  Arc count alone picks
-  numpy on a degree-2 cycle, where O(arcs)-per-round over ~n/2 rounds
-  is the catastrophic choice; the recorded ratios justify the
-  ``NUMPY_MIN_MEAN_DEGREE`` term ``select_backend`` now carries.
+* ``auto_vs_oracle_lane`` -- the acceptance row: a 2k-node ER graph of
+  mean degree 8 with a 512-pair cap, through ``all_pairs_termination``
+  (auto-selected frontier engine) vs the same pairs through its former
+  lane, ``parallel_sweep(..., backend="oracle")`` (the word-packed
+  bitset cover sweep), round-for-round identical, **>= 2x** asserted on
+  the full workload;
+* ``frontier_crossover`` -- the evidence behind ``select_backend``: the
+  pure and numpy frontier engines timed head-to-head at three graph
+  sizes and mean degree 2 / 4 / 8 / 32, so both
+  ``NUMPY_ARC_THRESHOLD`` (arcs) and ``NUMPY_MIN_MEAN_DEGREE`` rest on
+  measured rows.  Arc count alone picks numpy on a degree-2 cycle,
+  where O(arcs)-per-round over ~n rounds is the catastrophic choice.
 
 Set ``REPRO_BENCH_QUICK=1`` (or run ``benchmarks/run_bench.py
 --quick``) to shrink the workloads; the speedup assertions only arm on
@@ -30,17 +31,17 @@ import pytest
 
 from repro.core import all_pairs_termination
 from repro.fastpath import IndexedGraph, select_backend, sweep
-from repro.fastpath import oracle_backend
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import cycle_graph, erdos_renyi
-from repro.sync.engine import default_round_budget
+from repro.parallel import parallel_sweep
 
 from conftest import record
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 NODES = 256 if QUICK else 2_000
-PAIRS = 128 if QUICK else 2_048
+PAIRS = 128 if QUICK else 512
+CROSSOVER_SIZES = (64, 256, 1_024) if QUICK else (256, 1_024, 4_096)
 
 
 @pytest.fixture(scope="module")
@@ -50,16 +51,17 @@ def allpairs_workload():
     return graph
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="the bitset lane needs numpy")
-def test_ext_ap_bitset_vs_per_source(benchmark, allpairs_workload):
-    """The bitset lane vs the per-source oracle on the same pair batch.
+def test_ext_ap_auto_vs_oracle_lane(benchmark, allpairs_workload):
+    """``all_pairs_termination`` vs its former oracle lane, same pairs.
 
-    The timed region is the real routed API --
-    ``all_pairs_termination`` indexes the graph, enumerates the pairs
-    and sends the oracle batch down the bitset lane.  The baseline is
-    the pre-reroute definition: one ``oracle_backend.run`` per pair
-    over the same shared index and budget.  Round-for-round equality is
-    asserted before any timing claim.
+    The timed region is the real API: ``all_pairs_termination`` indexes
+    the graph, enumerates the pairs and runs one ``backend=None``
+    ``parallel_sweep``.  The baseline is the lane it used to hard-code,
+    ``parallel_sweep(graph, pairs, backend="oracle")`` -- the same tier
+    and pool rules, with deterministic batches on the word-packed
+    bitset cover sweep -- which was the fastest oracle lane available.
+    Round-for-round equality is asserted before any timing claim; both
+    sides take the min of interleaved repetitions.
     """
     graph = allpairs_workload
     result = benchmark.pedantic(
@@ -70,62 +72,67 @@ def test_ext_ap_bitset_vs_per_source(benchmark, allpairs_workload):
         iterations=1,
     )
     assert len(result) == PAIRS
-    bitset_seconds = benchmark.stats.stats.min
-
-    index = IndexedGraph.of(graph)
-    budget = default_round_budget(graph)
-    started = time.perf_counter()
-    baseline = [
-        oracle_backend.run(
-            index,
-            index.resolve_sources(pair),
-            budget,
-            collect_senders=False,
-            collect_receives=False,
-        )
-        for pair, _ in result
-    ]
-    per_source_seconds = time.perf_counter() - started
-
+    pairs = [pair for pair, _ in result]
+    oracle_runs = parallel_sweep(graph, pairs, backend="oracle")
     assert [rounds for _, rounds in result] == [
-        len(raw[1]) for raw in baseline
+        run.termination_round for run in oracle_runs
     ]
-    assert all(raw[0] for raw in baseline)
 
-    speedup = per_source_seconds / bitset_seconds
+    def timed(call):
+        started = time.perf_counter()
+        call()
+        return time.perf_counter() - started
+
+    auto_times = [benchmark.stats.stats.min]
+    oracle_times = []
+    for repeat in range(3):
+        oracle_times.append(
+            timed(lambda: parallel_sweep(graph, pairs, backend="oracle"))
+        )
+        if repeat:
+            auto_times.append(
+                timed(lambda: all_pairs_termination(graph, pair_limit=PAIRS))
+            )
+    auto_seconds = min(auto_times)
+    oracle_seconds = min(oracle_times)
+    speedup = oracle_seconds / auto_seconds
     if not QUICK:
-        assert speedup >= 5.0, (
-            f"bitset lane only {speedup:.2f}x over the per-source oracle "
-            f"on {PAIRS} pairs of a {NODES}-node graph"
+        assert speedup >= 2.0, (
+            f"all_pairs_termination only {speedup:.2f}x over the oracle "
+            f"lane on {PAIRS} pairs of a {NODES}-node graph"
         )
     record(
         benchmark,
         nodes=graph.num_nodes,
         edges=graph.num_edges,
-        backend="oracle",
+        backend="auto",
+        auto_backend=select_backend(IndexedGraph.of(graph), None),
         batch=PAIRS,
-        workers=0,
-        serial_seconds=round(per_source_seconds, 4),
+        serial_seconds=round(oracle_seconds, 4),
+        baseline="oracle_lane",
         speedup=round(speedup, 2),
     )
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="the crossover needs both engines")
-@pytest.mark.parametrize("mean_degree", [2, 8, 32])
-def test_ext_ap_frontier_crossover(benchmark, mean_degree):
-    """Pure vs numpy frontier head-to-head at fixed mean degree.
+@pytest.mark.parametrize("mean_degree", [2, 4, 8, 32])
+@pytest.mark.parametrize("size", CROSSOVER_SIZES)
+def test_ext_ap_frontier_crossover(benchmark, size, mean_degree):
+    """Pure vs numpy frontier head-to-head at fixed size and mean degree.
 
-    Every graph here sits past ``NUMPY_ARC_THRESHOLD``, so the old
-    arc-count-only rule would pick numpy for all three.  The degree-2
-    row is the cycle family (floods last ~n/2 rounds; numpy pays
-    O(arcs) every round), the dense rows are ER.  The timed region is
-    the engine ``select_backend`` actually picks; both engines are
-    also timed explicitly and the full-workload assertions pin the
-    crossover direction at the extremes (degree 8 is recorded,
+    Three sizes straddle ``NUMPY_ARC_THRESHOLD`` (4096 arcs): at mean
+    degree 8 the smallest graph sits below it, the others above.  Four
+    degrees straddle ``NUMPY_MIN_MEAN_DEGREE`` (4).  The degree-2 rows
+    are the cycle family (floods last ~n rounds; numpy pays O(arcs)
+    every round), the others are ER.  The timed region is the engine
+    ``select_backend`` actually picks; both engines are also timed
+    explicitly.  The full-workload assertions pin the crossover
+    direction at the extremes on the two larger sizes (degree 2: pure
+    wins; degree 32: numpy wins); the other rows are recorded,
     unasserted -- the engines are close there, which is exactly why
-    the rule needs the measured rows).
+    the rule needs the measured rows.
     """
-    n = 512 if QUICK else 2_048
+    n = size
     if mean_degree == 2:
         graph = cycle_graph(n + 1)  # odd: single-source floods last n+1
     else:
@@ -160,7 +167,7 @@ def test_ext_ap_frontier_crossover(benchmark, mean_degree):
     pure_seconds = timed("pure")
     numpy_seconds = timed("numpy")
 
-    if not QUICK:
+    if not QUICK and size > CROSSOVER_SIZES[0]:
         if mean_degree == 2:
             assert auto == "pure"
             assert pure_seconds < numpy_seconds, (

@@ -154,19 +154,18 @@ def trim(raw: dict) -> list:
         }
         if batch and mean:
             row["runs_per_sec"] = round(batch / mean, 1)
-        if "speedup" in info:
-            # Three different baselines share the extra_info key: PR 1's
-            # scaling rows measure against the reference simulator, the
-            # parallel rows against the serial sweep (or the
-            # auto-selected engine for the oracle rows), and the service
-            # rows against the sequential simulate()-per-request server
-            # -- name them apart in the trajectory.
+        if "speedup" in info and "baseline" in info:
+            # A row that names its baseline records the ratio under it.
+            row[f"speedup_vs_{info['baseline']}"] = info["speedup"]
+        elif "speedup" in info:
+            # Rows without a named baseline share the extra_info key:
+            # PR 1's scaling rows measure against the reference
+            # simulator, the parallel rows against the serial sweep, and
+            # the service rows against the sequential
+            # simulate()-per-request server -- name them apart in the
+            # trajectory.
             if name.startswith(("test_ext_par_", "test_ext_api_")):
                 row["speedup_vs_serial"] = info["speedup"]
-            elif name.startswith("test_ext_ap_"):
-                # The all-pairs rows measure the bitset cover sweep
-                # against the per-source oracle backend.
-                row["speedup_vs_per_source"] = info["speedup"]
             elif name.startswith("test_ext_svc_"):
                 row["speedup_vs_sequential"] = info["speedup"]
             elif name.startswith("test_ext_cache_"):

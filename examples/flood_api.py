@@ -40,18 +40,22 @@ def main() -> None:
 
         banner("A grouped sweep (heterogeneous specs, one call)")
         specs = (
-            # A batch over the ER graph: grouped, probe-routed, maybe pooled.
+            # A batch over the ER graph: grouped, resolved, maybe pooled.
             [spec.replace(sources=(v,)) for v in graph.nodes()[:24]]
-            # A long odd-cycle flood: the probe routes this to the
-            # double-cover oracle automatically.
+            # A long odd-cycle flood: resolved by the same rule -- the
+            # pure engine's total work is O(n + m + rounds) here.
             + [FloodSpec(graph=cycle, sources=(0,))]
+            # The double-cover oracle answers the same flood when named.
+            + [FloodSpec(graph=cycle, sources=(0,), backend="oracle")]
         )
         results = session.sweep(specs)
         rounds = sorted({r.termination_round for r in results[:24]})
         print(f"{len(results)} results, ER termination rounds {rounds}")
+        auto, oracle = results[-2], results[-1]
         print(
-            f"odd-cycle run routed to backend={results[-1].backend!r} "
-            f"({results[-1].termination_round} rounds at BFS cost)"
+            f"odd-cycle run on backend={auto.backend!r} "
+            f"({auto.termination_round} rounds); the oracle predicts "
+            f"{oracle.termination_round} rounds from one cover BFS"
         )
 
         banner("Scenarios by name")

@@ -8,9 +8,10 @@ would see.  The demo prints what the service did about it:
 
 * **coalescing** -- concurrent requests on the same topology ride one
   sharded pool batch (watch ``mean batch size``);
-* **routing** -- the long odd cycle is answered by the O(n + m)
-  double-cover oracle while the dense expander stays on the frontier
-  engines (watch the backend mix);
+* **backend resolution** -- one rule for every request: none of these
+  graphs reaches the numpy engine's size thresholds, so every query,
+  the long odd cycle's included, runs on the pure engine, whose total
+  work on a flood is O(n + m + rounds) (watch the backend mix);
 * **backpressure** -- a deliberately tiny queue sheds load with a
   typed ``QueueFull`` instead of melting (watch the rejected count);
 * **determinism** -- every served result is re-checked against the
@@ -107,7 +108,7 @@ async def main():
         print(f"  pool batches dispatched : {stats.batches} "
               f"(mean batch size {stats.mean_batch_size():.1f}, "
               f"largest {stats.largest_batch})")
-        print(f"  routed backend mix      : {dict(stats.backends)}")
+        print(f"  backend mix             : {dict(stats.backends)}")
         by_family = {
             name: sweep(graph, [[graph.nodes()[0]]])[0].termination_round
             for name, graph in graphs.items()

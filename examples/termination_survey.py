@@ -14,9 +14,8 @@ Run:  python examples/termination_survey.py
 Expected runtime: ~10-20 s end to end on one core; the all-pairs
 section (2016 two-source floods on a 64-node graph) is the part that
 scales with the machine — it shards across every usable core via
-``parallel_sweep`` and answers each pair from the double-cover oracle
-in O(n + m), so on a 4-core box it finishes ~4x sooner than the same
-loop run serially on the frontier engines.
+``parallel_sweep`` on the auto-selected frontier engine, so on a 4-core
+box it finishes ~4x sooner than the same loop run serially.
 """
 
 import time
@@ -54,7 +53,7 @@ def main() -> None:
     print()
     graph = erdos_renyi(64, 8 / 64, seed=2019, connected=True)
     started = time.perf_counter()
-    pairs = all_pairs_termination(graph)  # parallel_sweep + oracle inside
+    pairs = all_pairs_termination(graph)  # one parallel_sweep inside
     elapsed = time.perf_counter() - started
     rounds = [r for _, r in pairs]
     bound = 2 * diameter(graph) + 1

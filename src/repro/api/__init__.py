@@ -5,8 +5,8 @@ reproduction -- serial engine, batch sweep, sharded pool, async
 service:
 
 * :class:`~repro.api.spec.FloodSpec` -- a frozen, hashable, picklable
-  request (graph + sources + budget + backend + probe policy + variant
-  + RNG stream + collection flags), validated once at construction;
+  request (graph + sources + budget + backend + variant + RNG stream +
+  collection flags), validated once at construction;
 * :class:`~repro.api.spec.BatchKey` -- the execution projection of a
   spec; the pool's task payload and the service's micro-batch key;
 * :class:`~repro.api.result.FloodResult` -- the unified answer shape

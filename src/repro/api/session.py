@@ -10,10 +10,11 @@ batch work, one :class:`~repro.service.FloodService` for async queries
   spec); ``reference=True`` reruns the request on its pinned set-based
   reference engine instead.
 * :meth:`FloodSession.sweep` -- many specs: grouped by execution shape
-  (graph, budget, backend request, probe policy, variant, collection
-  flags), each group routed through the probe-aware backend selection
-  and run serially or across a warm worker pool depending on batch
-  size and usable cores -- the same heuristics as
+  (graph, budget, backend request, variant, collection flags), each
+  group resolved by the one backend rule
+  (:func:`~repro.fastpath.engine.resolve_backend`) and run serially
+  or across a warm worker pool depending on batch size and usable
+  cores -- the same heuristics as
   :func:`~repro.parallel.parallel_sweep`, with results returned in
   input order and bit-identical to the serial path.
 * :meth:`FloodSession.aquery` -- one spec, asynchronously: coalesced
@@ -146,20 +147,16 @@ class FloodSession:
         """The execution plan for ``spec`` in a :meth:`sweep` batch of
         ``batch_size``.
 
-        Resolves the backend exactly like the sweep would -- batch
-        resolution (:func:`~repro.fastpath.engine.resolve_backend` with
-        ``batch=True``) for every batch size, one-spec batches included
-        -- without running anything.
+        Resolves the backend exactly like every tier does
+        (:func:`~repro.fastpath.engine.resolve_backend`, which does not
+        depend on the batch size) without running anything.
         """
         if spec.scenario is not None:
             name = spec.scenario.partition(":")[0]
             return ExecutionPlan(mode=SCENARIO, backend=f"scenario:{name}")
         from repro.fastpath.engine import resolve_backend
 
-        backend = resolve_backend(
-            spec.index(), spec.backend, spec.max_rounds, spec.variant,
-            spec.probe, batch=True,
-        )
+        backend = resolve_backend(spec.index(), spec.backend, spec.variant)
         if self._pooled(batch_size):
             return ExecutionPlan(
                 mode=POOL, backend=backend, workers=self._resolved_workers()
@@ -174,7 +171,7 @@ class FloodSession:
         """Execute one spec serially; the facade form of ``simulate``.
 
         Every built-in scenario (and plain/variant spec) runs on the
-        arc-mask fast path with the single-run backend selection, so
+        arc-mask fast path with the one backend-resolution rule, so
         the result is bit-identical to ``fastpath.run_spec`` of the
         same request.  ``reference=True``
         is the escape hatch onto the pinned set-based engines
@@ -197,13 +194,9 @@ class FloodSession:
         from repro.fastpath.engine import resolve_backend
 
         index = spec.index()
-        # Single-run resolution (no probe), matching run_spec exactly:
-        # the resolved name joins the cache key because batch routing
-        # may legitimately pick a different engine for the same spec.
-        chosen = resolve_backend(
-            index, spec.backend, spec.max_rounds, spec.variant, spec.probe,
-            batch=False,
-        )
+        # The one resolution rule, as in run_spec and every batch tier,
+        # so run(spec) and sweep([spec]) address the same cache entry.
+        chosen = resolve_backend(index, spec.backend, spec.variant)
         key = result_cache_key(spec, chosen)
         if spec.cache == "use":
             run = lookup_run(cache, key, spec, index)
@@ -217,8 +210,8 @@ class FloodSession:
         """Execute many specs; results in input order.
 
         Specs are grouped by execution shape (everything
-        :class:`~repro.api.spec.BatchKey`-relevant plus the graph and
-        probe policy); each fast-path group runs as one batch --
+        :class:`~repro.api.spec.BatchKey`-relevant plus the graph);
+        each fast-path group runs as one batch --
         serially, or across this session's warm pool for that graph
         when the batch and the machine justify one -- and each
         extension set-based scenario spec runs on its registered
@@ -251,7 +244,6 @@ class FloodSession:
             spec.graph,
             spec.max_rounds,
             spec.backend,
-            spec.probe,
             spec.variant,
             spec.scenario,
             spec.collect_senders,
@@ -301,9 +293,8 @@ class FloodSession:
 
         cache = self._results
         index = group[0].index()
-        # Batch-style resolution (probe-aware), matching _execute_group:
-        # the resolved name joins the key, so single-run (`run`) and
-        # batch (`sweep`) entries for the same spec never collide.
+        # The one resolution rule, as in _execute_group and `run`: a
+        # spec addresses one entry whichever tier stored it.
         chosen = batch_key_of(group, index).backend
         results: List[Optional[Any]] = [None] * len(group)
         keys: List[Optional[str]] = [None] * len(group)
@@ -364,10 +355,9 @@ class FloodSession:
         Fast-path specs ride the session's :class:`FloodService`: the
         spec is the request, its :class:`~repro.api.spec.BatchKey` is
         the micro-batch key, and the result is bit-identical to
-        :meth:`sweep` of ``[spec]`` (the service resolves backends with
-        the batch rule, so ``backend=None`` routes through the rounds
-        probe exactly like a sweep).  Extension set-based scenario
-        specs run on an executor thread.  ``timeout`` / ``on_full``
+        :meth:`sweep` of ``[spec]`` and :meth:`run` of ``spec`` (the
+        service resolves backends with the same rule).  Extension
+        set-based scenario specs run on an executor thread.  ``timeout`` / ``on_full``
         follow :meth:`repro.service.FloodService.query_spec`.
         """
         self._require_open()

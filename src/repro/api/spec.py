@@ -3,16 +3,16 @@
 A flood runs on one of four tiers -- a single run
 (``fastpath.run_spec``), a serial batch (``fastpath.sweep_specs``), the
 worker pool (``SweepPool.sweep_specs``) and the query service
-(``FloodService.query_spec``) -- and every capability (backends, probe
-routing, variants, per-request RNG keys) reaches all of them through
+(``FloodService.query_spec``) -- and every capability (backends,
+variants, per-request RNG keys) reaches all of them through
 one request shape: a single frozen dataclass, validated **once** at
 construction:
 
 * :class:`FloodSpec` -- graph + sources + round budget + backend +
-  probe policy + :class:`~repro.fastpath.variants.VariantSpec` + RNG
-  stream position + collection flags + optional scenario string.  It is
-  frozen, hashable and picklable, so the same object rides from the
-  caller through the micro-batcher, the pool task queue and the worker
+  :class:`~repro.fastpath.variants.VariantSpec` + RNG stream position
+  + collection flags + optional scenario string.  It is frozen,
+  hashable and picklable, so the same object rides from the caller
+  through the micro-batcher, the pool task queue and the worker
   processes without translation.
 * :class:`BatchKey` -- the execution-relevant projection of a spec
   (everything that changes *how* a batch must run: budget, resolved
@@ -70,7 +70,7 @@ the request names (see :data:`CACHE_MODES`); putting it in the digest
 would split identical results across three cache addresses."""
 
 BATCH_KEY_EXCLUDED = frozenset(
-    {"graph", "sources", "backend", "probe", "scenario", "stream"}
+    {"graph", "sources", "backend", "scenario", "stream"}
 )
 """Digest-participating fields deliberately absent from :meth:`FloodSpec.batch_key`.
 
@@ -85,9 +85,7 @@ not change it).  The reasons:
   the shared projection.
 * ``backend`` -- reaches :class:`BatchKey` as the *resolved* backend
   parameter; the raw field still contains ``None`` (auto) after
-  routing decided.
-* ``probe`` -- a routing input, fully consumed in producing that
-  resolved backend before ``batch_key()`` is called.
+  resolution decided.
 * ``scenario`` -- extension-scenario specs run on the reference
   engines and are rejected by the batching service before any bucket
   is chosen.
@@ -125,7 +123,7 @@ class BatchKey:
     definition of "batchable together" instead of two hand-maintained
     key tuples.
 
-    ``backend`` here is always a *resolved* concrete name (routing has
+    ``backend`` here is always a *resolved* concrete name (resolution has
     already happened); ``budget`` is the resolved round budget.
     """
 
@@ -154,13 +152,10 @@ class FloodSpec:
         construction, so equal specs always carry equal concrete
         budgets (the budget is part of the batch key).
     backend:
-        ``None`` (auto / routed) or one of :data:`BACKEND_NAMES`.
-        Validated at construction, including numpy availability and
-        variant compatibility.
-    probe:
-        Whether ``backend=None`` batch execution may consult the
-        double-cover rounds probe (the existing routing logic).
-        ``False`` restores plain frontier auto-selection.
+        ``None`` (auto: a frontier engine picked by
+        :func:`~repro.fastpath.engine.select_backend`, on every tier)
+        or one of :data:`BACKEND_NAMES`.  Validated at construction,
+        including numpy availability and variant compatibility.
     variant:
         Optional :class:`~repro.fastpath.variants.VariantSpec` running
         the stochastic/memory stepper instead of the deterministic
@@ -200,7 +195,6 @@ class FloodSpec:
     sources: Tuple[Node, ...]
     max_rounds: Optional[int] = None
     backend: Optional[str] = None
-    probe: bool = True
     variant: Optional[VariantSpec] = None
     scenario: Optional[str] = None
     stream: int = 0
@@ -304,7 +298,7 @@ class FloodSpec:
 
         Index-free on purpose (see ``__post_init__``): the engines'
         name-level validators are split out so construction never
-        builds or probes a CSR index.
+        builds a CSR index.
         """
         if self.backend is None:
             return
@@ -331,7 +325,6 @@ class FloodSpec:
         seed: int = 0,
         max_rounds: Optional[int] = None,
         stream: int = 0,
-        probe: bool = True,
         collect_senders: bool = False,
         collect_receives: bool = False,
     ) -> "FloodSpec":
@@ -349,7 +342,6 @@ class FloodSpec:
             graph=graph,
             sources=tuple(sources),
             max_rounds=max_rounds,
-            probe=probe,
             scenario=seeded_scenario(scenario, seed),
             stream=stream,
             collect_senders=collect_senders,
@@ -407,7 +399,6 @@ class FloodSpec:
                 repr(self.sources),
                 repr(self.max_rounds),
                 repr(self.backend),
-                repr(self.probe),
                 repr(self.variant),
                 repr(self.scenario),
                 repr(self.stream),
@@ -429,8 +420,6 @@ class FloodSpec:
                 parts.append(f"{name}={value!r}")
         if self.stream:
             parts.append(f"stream={self.stream}")
-        if not self.probe:
-            parts.append("probe=False")
         for flag in ("collect_senders", "collect_receives"):
             if getattr(self, flag):
                 parts.append(f"{flag}=True")

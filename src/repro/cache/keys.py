@@ -16,13 +16,16 @@ three properties at once:
 
 Key discipline
 --------------
-The cache key is ``f"{spec.digest()}:{resolved_backend}"``.  The spec
-digest alone is not enough: single-run resolution
-(:func:`~repro.fastpath.engine.resolve_backend` with ``batch=False``,
-never probes) and batch resolution (``batch=True``, probe-aware) may
-pick *different* backends for the same ``backend=None`` spec, and a
-cached result reports the backend that produced it -- so the resolved
-name joins the key and each resolution path addresses its own entry.
+The cache key is ``f"{spec.digest()}:{resolved_backend}"``.  Every
+tier resolves a spec's backend with the one rule
+(:func:`~repro.fastpath.engine.resolve_backend`), so ``run(spec)``,
+``sweep([spec])`` and the service address the same entry for the same
+spec.  The resolved name still joins the key because ``backend=None``
+resolution depends on the process as well as the spec (numpy must be
+importable to be chosen), and a cached result reports the backend that
+produced it: a persistent store shared by processes that resolve
+differently keeps one entry per backend instead of serving one
+process's label to the other.
 Stochastic specs are safe automatically: ``digest()`` already covers
 ``(variant.seed, stream)``, so a different stream is a different
 address, never a false hit.
@@ -49,8 +52,11 @@ from repro.fastpath.indexed import IndexedGraph
 CACHE_MAGIC = "repro-flood-cache"
 """Leading marker of every encoded payload; foreign blobs fail fast."""
 
-CACHE_FORMAT_VERSION = 1
-"""Bump on any change to the encoded payload shape.
+CACHE_FORMAT_VERSION = 2
+"""Bump on any change to the encoded payload shape or the key scheme.
+
+Version 2: ``FloodSpec.probe`` left the spec digest, and ``backend=None``
+resolves to a frontier engine on every tier.
 
 Entries written by another version decode to ``None`` (a miss), so a
 persistent store survives format evolution without a migration step.

@@ -182,18 +182,14 @@ def all_pairs_termination(
     at ``pair_limit`` pairs) -- used by the multi-source sweep benchmark
     to show how termination time shrinks as sources spread out.
 
-    Runs as one :func:`repro.parallel.parallel_sweep` batch: the graph
-    is CSR-indexed once, the quadratic pair enumeration is sharded
-    across the machine's cores (serial below the pool's batch floor),
-    and each pair flood collects only the scalar statistics.  The
-    double-cover oracle backend answers the termination round in
-    O(n + m) per pair independent of flood length, and because the
-    batch is deterministic and oracle-resolved it rides the word-packed
-    bitset cover sweep (:mod:`repro.fastpath.bitset_oracle`): 64 pairs
-    flood per word pass, all pairs in O(n * (n + m)) words total.  The
-    equivalence matrix holds every lane bit-for-bit equal to the
-    frontier engines, so the output is identical to simulating every
-    pair.
+    Runs as one :func:`repro.parallel.parallel_sweep` batch with
+    ``backend=None``: the graph is CSR-indexed once, the frontier engine
+    is auto-selected (:func:`repro.fastpath.engine.select_backend`),
+    the quadratic pair enumeration is sharded across the machine's
+    cores (serial below the pool's batch floor), and each pair flood
+    collects only the scalar statistics.  The equivalence matrix holds
+    the frontier engines bit-for-bit equal to the double-cover oracle,
+    so the output is identical to predicting every pair from the cover.
     """
     nodes = graph.nodes()
     pairs: List[Tuple[Node, Node]] = []
@@ -204,7 +200,7 @@ def all_pairs_termination(
             pairs.append((nodes[i], nodes[j]))
         if pair_limit is not None and len(pairs) >= pair_limit:
             break
-    runs = parallel_sweep(graph, pairs, backend="oracle")
+    runs = parallel_sweep(graph, pairs)
     return [
         (pair, run.termination_round) for pair, run in zip(pairs, runs)
     ]

@@ -17,10 +17,11 @@ two engines:
 * the **oracle** backend (:mod:`repro.fastpath.oracle_backend`) -- no
   frontier at all: one BFS over the implicit double cover predicts the
   full statistics of a flood in O(n + m) total, independent of round
-  count.  Never auto-selected; request it with ``backend="oracle"``
-  when you want sweep statistics at BFS cost.  Deterministic oracle
-  batches of :data:`~repro.fastpath.engine.BITSET_MIN_BATCH` or more
-  runs additionally ride the word-packed bitset cover sweep
+  count.  Never auto-selected: it is the shared-nothing cross-check of
+  the frontier engines, requested by name with ``backend="oracle"``.
+  Deterministic oracle batches of
+  :data:`~repro.fastpath.engine.BITSET_MIN_BATCH` or more runs ride
+  the word-packed bitset cover sweep
   (:mod:`repro.fastpath.bitset_oracle`): 64 source sets flood per
   ``uint64`` word pass, bit-identical to the per-source oracle.
 
@@ -45,10 +46,8 @@ Entry points:
   configurations packed into arc bitmasks (powers the
   initial-conditions census);
 * :func:`resolve_backend` -- the one backend-resolution rule every
-  tier applies; for batches with ``backend=None`` it consults
-  :func:`probe_termination_rounds` (cheap double-cover rounds probes,
-  memoised per index) and :func:`routed_backend`, which route long
-  floods to the oracle;
+  tier applies: :func:`variant_backend` for variants, else
+  :func:`select_backend`, for single runs and batches alike;
 * :class:`VariantSpec` (:func:`thinning` / :func:`bernoulli_loss` /
   :func:`k_memory` / :func:`periodic_injection` / :func:`multi_message`
   / :func:`random_delay` / :func:`dynamic_schedule`) and
@@ -74,7 +73,6 @@ from repro.fastpath.engine import (
     ensure_homogeneous_specs,
     evolve_arc_mask,
     resolve_backend,
-    routed_sweep_backend,
     run_spec,
     select_backend,
     step_arc_mask,
@@ -82,12 +80,6 @@ from repro.fastpath.engine import (
     sweep_specs,
 )
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.probe import (
-    ORACLE_ROUND_THRESHOLD,
-    expected_rounds,
-    probe_termination_rounds,
-    routed_backend,
-)
 from repro.fastpath.schedule import ArcSchedule
 from repro.fastpath.variants import (
     VariantSpec,
@@ -109,7 +101,6 @@ __all__ = [
     "NUMPY_ARC_THRESHOLD",
     "NUMPY_MIN_MEAN_DEGREE",
     "ORACLE",
-    "ORACLE_ROUND_THRESHOLD",
     "ArcSchedule",
     "IndexedGraph",
     "IndexedRun",
@@ -124,15 +115,11 @@ __all__ = [
     "dynamic_schedule",
     "ensure_homogeneous_specs",
     "evolve_arc_mask",
-    "expected_rounds",
     "k_memory",
     "multi_message",
     "periodic_injection",
-    "probe_termination_rounds",
     "random_delay",
     "resolve_backend",
-    "routed_backend",
-    "routed_sweep_backend",
     "run_spec",
     "select_backend",
     "step_arc_mask",

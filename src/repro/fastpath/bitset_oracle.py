@@ -2,8 +2,8 @@
 
 The per-source oracle backend (:mod:`repro.fastpath.oracle_backend`)
 answers one flood in O(n + m) by BFS over the implicit double cover.
-A sweep-shaped workload -- ``all_pairs_termination``, the receipt
-census, any large homogeneous deterministic batch -- asks the *same*
+A sweep-shaped oracle request -- any large homogeneous deterministic
+batch named ``backend="oracle"`` -- asks the *same*
 BFS question from many source sets over one frozen CSR index, and
 those searches share all of their structure: every pass walks the same
 arcs, only the seed sets differ.
@@ -44,15 +44,18 @@ decode), with an explicit byte-order normalisation for big-endian
 hosts.  Batches larger than :data:`BLOCK_RUNS` process in blocks so
 the dense level matrix stays small regardless of batch size.
 
-Routing: this is an execution strategy for the **oracle** backend, not
+Dispatch: this is an execution strategy for the **oracle** backend, not
 a fourth backend name -- results still report ``backend="oracle"``.
 :func:`repro.fastpath.engine.dispatch_batch` picks it for homogeneous
-deterministic oracle batches of at least
+deterministic batches explicitly named ``backend="oracle"`` of at least
 :data:`~repro.fastpath.engine.BITSET_MIN_BATCH` runs when numpy is
 importable (never for variants: their steppers are stochastic
 executions, not cover predictions), and every batch tier -- the serial
 spec sweep, the :class:`~repro.parallel.SweepPool` chunk bodies and
 the service's serial executor -- funnels through that one gate.
+``backend=None`` never resolves to the oracle, so the lane serves the
+cross-check, not the default path: on the workloads measured in
+``BENCH_fastpath.json`` the auto-selected frontier engines beat it.
 """
 
 from __future__ import annotations

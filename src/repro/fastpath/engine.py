@@ -18,8 +18,8 @@ Backend selection
   cover predicts every statistic the frontier engines report
   (termination round, message totals, per-round counts, sender sets,
   receive rounds) in O(n + m) total, independent of how many rounds
-  the flood runs.  Always available; the fast lane for sweep
-  statistics.
+  the flood runs.  Always available; requested by name only, as the
+  cross-check of the frontier engines.
 
 ``backend=None`` auto-selects between the frontier engines: numpy when
 it is importable *and* the graph has at least
@@ -27,20 +27,20 @@ it is importable *and* the graph has at least
 :data:`NUMPY_MIN_MEAN_DEGREE` (sparse graphs run long floods, which
 punish the O(arcs)-per-round engine), else pure.  The oracle is
 never auto-selected -- it is a *prediction* of the process rather than
-an execution of it, so callers opt in explicitly (and the equivalence
-matrix holds it bit-for-bit equal to the executions).  Batches that
-*do* resolve to the oracle (explicitly or through the rounds probe)
-additionally ride the word-packed bitset sweep
+an execution of it, kept as the shared-nothing cross-check the
+equivalence matrix holds bit-for-bit equal to the executions.  Long
+floods need no special lane: every flood sends at most one message per
+cover edge, so the pure engine's total work is O(n + m + rounds) too,
+with smaller constants than a cover BFS.  Batches explicitly named
+``backend="oracle"`` additionally ride the word-packed bitset sweep
 (:mod:`repro.fastpath.bitset_oracle`) when they are deterministic and
 at least :data:`BITSET_MIN_BATCH` runs -- an execution strategy, not a
 backend name: results still report ``backend="oracle"`` and stay
 bit-identical to the per-source oracle.
 
 :func:`resolve_backend` is the one resolution rule every tier applies:
-variants resolve through :func:`variant_backend`, batches with
-``backend=None`` and ``probe=True`` through the rounds probe
-(:func:`routed_sweep_backend`), everything else through
-:func:`select_backend`.
+variants resolve through :func:`variant_backend`, everything else
+through :func:`select_backend` -- for single runs and batches alike.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from repro.api.spec import BatchKey, FloodSpec
 from repro.errors import ConfigurationError
 from repro.fastpath import bitset_oracle, numpy_backend, oracle_backend, pure_backend
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.probe import index_probe, routed_backend
 from repro.fastpath.variants import VariantSpec, run_variant, variant_backend
 from repro.graphs.graph import Graph, Node
 from repro.sync.engine import default_round_budget
@@ -96,7 +95,7 @@ both large (arc threshold) *and* dense enough
 that floods stay short relative to the arc work."""
 
 BITSET_MIN_BATCH = 16
-"""Batch size at which oracle batches switch to the bitset sweep.
+"""Batch size at which explicit oracle batches switch to the bitset sweep.
 
 Below this the word-packed pass cannot amortise its numpy setup over
 enough runs to beat the per-source Python BFS; at 16+ runs a single
@@ -402,72 +401,48 @@ def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRu
     """One flood from a validated :class:`FloodSpec`, serially.
 
     The single-run core behind :func:`repro.core.amnesiac.simulate` and
-    ``FloodSession.run``.  Backend resolution for a single run never
-    consults the rounds probe -- probing costs cover-BFS passes that
-    only amortise across a batch -- so ``backend=None`` auto-selects a
-    frontier engine.  A ``variant`` spec runs its stochastic/memory
-    stepper on the stream ``spec.run_key()``.  Pass ``index`` to reuse
-    a prebuilt :class:`IndexedGraph`.
+    ``FloodSession.run``; it resolves the backend with the same
+    :func:`resolve_backend` rule as every batch tier.  A ``variant``
+    spec runs its stochastic/memory stepper on the stream
+    ``spec.run_key()``.  Pass ``index`` to reuse a prebuilt
+    :class:`IndexedGraph`.
     """
     _require_fastpath_spec(spec)
     if index is None:
         index = spec.index()
     source_ids = index.resolve_sources(spec.sources)
-    chosen = resolve_backend(
-        index, spec.backend, spec.max_rounds, spec.variant, spec.probe,
-        batch=False,
-    )
+    chosen = resolve_backend(index, spec.backend, spec.variant)
     raw = _dispatch(index, source_ids, spec.batch_key(chosen), spec.run_key())
     return wrap_raw_run(index, source_ids, chosen, raw, spec.variant)
 
 
 def routed_sweep_backend(
-    index: IndexedGraph,
-    backend: Optional[str],
-    budget: int,
-    probe: bool = True,
+    index: IndexedGraph, backend: Optional[str] = None
 ) -> str:
-    """Backend resolution for batch sweeps: probe-aware by default.
+    """Delegates to :func:`select_backend`; no ``repro`` caller remains.
 
-    ``backend=None`` consults the graph's double-cover rounds probe
-    (:mod:`repro.fastpath.probe`): long expected floods (>=
-    ``ORACLE_ROUND_THRESHOLD`` executed rounds, budget-clamped) go to
-    the O(n + m) oracle, everything else to the frontier
-    auto-selection.  The probe costs a few cover-BFS passes, paid once
-    per index (:func:`~repro.fastpath.probe.index_probe`).
-    ``probe=False`` opts out and restores the plain frontier
-    auto-selection; explicit backends always win.
+    Kept only for perfbench's binding table; delete with ROADMAP item 4.
     """
-    if backend is not None or not probe:
-        return select_backend(index, backend)
-    return routed_backend(index, index_probe(index), budget)
+    return select_backend(index, backend)
 
 
 def resolve_backend(
     index: IndexedGraph,
     backend: Optional[str],
-    budget: int,
     variant: Optional[VariantSpec] = None,
-    probe: bool = True,
-    *,
-    batch: bool,
 ) -> str:
     """The backend a request runs on: the one resolution rule.
 
     Every tier -- ``run_spec``, the serial and pooled sweeps, the
     session's planner and cache keys, the service router -- resolves
-    here, so they cannot drift apart.  A variant resolves through
-    :func:`variant_backend` (the pure stepper, never the oracle).  A
-    *batch* with ``backend=None`` and ``probe=True`` resolves through
-    the rounds probe (:func:`routed_sweep_backend`, which hands every
-    other batch to :func:`select_backend`): the probe only amortises
-    across a batch, so single runs (``batch=False``) never consult it
-    and resolve through :func:`select_backend` directly.
+    here, so one spec resolves to one backend wherever it runs.  A
+    variant resolves through :func:`variant_backend` (the pure stepper,
+    never the oracle); everything else through :func:`select_backend`,
+    which depends only on the graph and the request, never on batch
+    size or budget.
     """
     if variant is not None:
         return variant_backend(index, backend, variant)
-    if batch:
-        return routed_sweep_backend(index, backend, budget, probe)
     return select_backend(index, backend)
 
 
@@ -479,7 +454,6 @@ def sweep(
     collect_senders: bool = False,
     collect_receives: bool = False,
     variant: Optional[VariantSpec] = None,
-    probe: bool = True,
 ) -> List[IndexedRun]:
     """Run many floods over one graph, indexing it exactly once.
 
@@ -496,15 +470,12 @@ def sweep(
     is the drop-in sharded form of this function for batches large
     enough to spread across cores.
 
-    Pass ``backend="oracle"`` for the statistics fast lane: the
-    double-cover oracle answers termination rounds and message counts
-    in O(n + m) per source set, independent of flood length, and is
-    held bit-for-bit equal to the frontier engines by the equivalence
-    matrix.  ``backend=None`` is *probe-aware*: a cheap rounds probe
-    (computed once per index) routes unambiguously round-heavy
-    topologies to the oracle automatically, the same rule the service
-    router applies -- pass ``probe=False`` to opt out and keep the
-    plain frontier auto-selection.
+    ``backend=None`` auto-selects a frontier engine with
+    :func:`select_backend`, the same rule every tier applies.  Pass
+    ``backend="oracle"`` for the double-cover cross-check: it answers
+    from one cover BFS per source set (or one word-packed sweep per
+    batch) and is held bit-for-bit equal to the frontier engines by the
+    equivalence matrix.
 
     A ``variant`` spec (:mod:`repro.fastpath.variants`) runs every
     source set through the stochastic/memory stepper instead: run
@@ -533,7 +504,6 @@ def sweep(
             sources=tuple(sources),
             max_rounds=max_rounds,
             backend=backend,
-            probe=probe,
             variant=variant,
             stream=position if variant is not None else 0,
             collect_senders=collect_senders,
@@ -543,12 +513,9 @@ def sweep(
     ]
     if not specs:
         # Preserve the legacy contract that an empty batch still
-        # validates its budget and backend (without probing) before
-        # returning nothing.
-        budget = _resolve_budget(graph, max_rounds)
-        resolve_backend(
-            IndexedGraph.of(graph), backend, budget, variant, batch=False
-        )
+        # validates its budget and backend before returning nothing.
+        _resolve_budget(graph, max_rounds)
+        resolve_backend(IndexedGraph.of(graph), backend, variant)
         return []
     return sweep_specs(specs)
 
@@ -558,7 +525,7 @@ def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
 
     Specs of one batch may differ only in sources and RNG ``stream``;
     anything that changes how the backend must run them (graph, budget,
-    backend request, probe policy, variant, collection flags) must
+    backend request, variant, collection flags) must
     match, because the whole batch resolves to a single
     :class:`BatchKey`.  Returns the lead spec.
     """
@@ -570,14 +537,13 @@ def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
             spec.graph != head.graph
             or spec.max_rounds != head.max_rounds
             or spec.backend != head.backend
-            or spec.probe != head.probe
             or spec.variant != head.variant
             or spec.collect_senders != head.collect_senders
             or spec.collect_receives != head.collect_receives
         ):
             raise ConfigurationError(
                 "sweep_specs requires a homogeneous batch (same graph, "
-                "max_rounds, backend, probe, variant and collection "
+                "max_rounds, backend, variant and collection "
                 "flags); FloodSession.sweep groups heterogeneous specs"
             )
     return head
@@ -593,12 +559,7 @@ def batch_key_of(specs: Sequence[FloodSpec], index: IndexedGraph) -> BatchKey:
     :func:`resolve_backend` once for the lead spec.
     """
     head = ensure_homogeneous_specs(specs)
-    return head.batch_key(
-        resolve_backend(
-            index, head.backend, head.max_rounds, head.variant, head.probe,
-            batch=True,
-        )
-    )
+    return head.batch_key(resolve_backend(index, head.backend, head.variant))
 
 
 def sweep_specs(
@@ -608,7 +569,7 @@ def sweep_specs(
 
     The spec-native core behind :func:`sweep`: all specs must share
     their graph and execution-relevant fields (they may differ in
-    sources and RNG ``stream``), the CSR freeze and backend routing are
+    sources and RNG ``stream``), the CSR freeze and backend resolution are
     hoisted out of the loop, and each run draws from its *own* spec's
     stream key -- so a batch built by the :func:`sweep` shim reproduces
     the legacy position-keyed randomness exactly.

@@ -61,7 +61,6 @@ class IndexedGraph:
         "full_masks",
         "_numpy_arrays",
         "_send_cache",
-        "_probe_rounds",
     )
 
     def __init__(self, graph: Graph) -> None:
@@ -99,7 +98,6 @@ class IndexedGraph:
         self.full_masks = full_masks
         self._numpy_arrays = None  # lazily built by the numpy backend
         self._send_cache = None  # lazily built by the pure backend
-        self._probe_rounds = None  # lazily memoised by fastpath.probe
 
     # ------------------------------------------------------------------
     # Pickling
@@ -107,11 +105,11 @@ class IndexedGraph:
     #
     # Indexes cross process boundaries in :mod:`repro.parallel`: the
     # sweep pool pickles the frozen CSR once per worker.  Only the CSR
-    # arrays travel -- the memo caches (`_send_cache`, `_numpy_arrays`,
-    # `_probe_rounds`) are process-local working state, can be large,
-    # and rebuild lazily on first use, so they are dropped on the wire.
+    # arrays travel -- the memo caches (`_send_cache`, `_numpy_arrays`)
+    # are process-local working state, can be large, and rebuild lazily
+    # on first use, so they are dropped on the wire.
 
-    _TRANSIENT_SLOTS = ("_numpy_arrays", "_send_cache", "_probe_rounds")
+    _TRANSIENT_SLOTS = ("_numpy_arrays", "_send_cache")
 
     def __getstate__(self) -> Dict[str, object]:
         return {

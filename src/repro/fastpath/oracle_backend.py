@@ -20,23 +20,18 @@ frontier engines report, in one O(n + m) BFS pass:
 This backend therefore emits a :data:`~repro.fastpath.pure_backend.RawRun`
 bit-for-bit identical to the frontier engines -- including budget
 cut-off truncation -- without ever materialising a frontier.  Cost is
-O(n + m) *total*, independent of the number of rounds.  Two honest
-notes on where that wins (the benchmark rows record both sides):
+O(n + m) *total*, independent of the number of rounds.  That is not a
+win over the pure engine: the cover correspondence implies every flood
+sends at most one message per cover edge, so the pure engine's total
+work is O(n + m + rounds) too, with smaller constants (it beats the
+oracle on the long odd-cycle floods the paper calls worst case), and
+the vectorised numpy engine wins on short dense floods.  The oracle is
+therefore never auto-selected.
 
-* against the vectorised numpy engine -- O(arcs) *per round* -- the
-  oracle wins by an order of magnitude on round-heavy families (odd
-  cycles run n rounds) and loses small constants on low-diameter
-  expanders where floods last a handful of rounds;
-* the pure engine is also effectively linear per run (the cover
-  correspondence implies every flood sends at most one message per
-  cover edge, so its total work is O(n + m + rounds) with small
-  constants), and stays within ~2x of the oracle everywhere measured.
-
-What the oracle uniquely adds is *robustness without topology
-knowledge* -- it is never the catastrophic choice the per-round
-engines can be on the wrong family -- plus a second, shared-nothing
-implementation of every statistic, strong enough to sit inside the
-equivalence matrix.
+What the oracle adds is a second, shared-nothing implementation of
+every statistic, derived from the proof rather than the process and
+strong enough to sit inside the equivalence matrix; request it with
+``backend="oracle"``.
 
 The BFS runs on the *implicit* cover: state ``2 * v + parity`` over the
 CSR arrays of the :class:`~repro.fastpath.indexed.IndexedGraph`, so no

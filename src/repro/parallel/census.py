@@ -19,10 +19,9 @@ the globally smallest ones, making the parallel census's output
 identical to the serial loop's for any worker count or chunk size.
 
 :func:`receipt_counts` is the second census lane: per-node receive
-counts for many source sets at once, batched through the oracle
-backend -- large deterministic batches ride the word-packed bitset
-cover sweep (:mod:`repro.fastpath.bitset_oracle`) inside whichever
-tier (serial or pool chunks) executes them.
+counts for many source sets at once, one ``backend=None`` batch on the
+auto-selected frontier engine inside whichever tier (serial or pool
+chunks) executes it.
 :func:`repro.core.multisource.receipt_census` classifies its output
 into the once/twice/never partition.
 """
@@ -125,16 +124,16 @@ def receipt_counts(
     workers: Optional[int] = None,
     chunksize: Optional[int] = None,
 ) -> List[Tuple[int, ...]]:
-    """Per-node receive counts for many source sets, oracle-backed.
+    """Per-node receive counts for many source sets.
 
     Row ``i`` is a tuple over ``graph.nodes()`` order: how many times
     each node receives the message when flooding starts from
     ``source_sets[i]`` (0, 1 or 2 -- never more, by the double-cover
     correspondence).  The batch runs as one
-    :func:`~repro.parallel.parallel_sweep` on the oracle backend, so
-    large deterministic batches take the word-packed bitset cover
-    sweep and the pool sharding rules apply unchanged (serial below
-    the batch floor or on one core).
+    :func:`~repro.parallel.parallel_sweep` with ``backend=None`` (the
+    auto-selected frontier engine, held bit-identical to the oracle by
+    the equivalence matrix), so the pool sharding rules apply unchanged
+    (serial below the batch floor or on one core).
     """
     from repro.parallel.pool import parallel_sweep
 
@@ -142,7 +141,6 @@ def receipt_counts(
         graph,
         source_sets,
         max_rounds=max_rounds,
-        backend="oracle",
         workers=workers,
         chunksize=chunksize,
         collect_receives=True,

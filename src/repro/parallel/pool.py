@@ -228,11 +228,10 @@ class SweepPool:
         """Run one homogeneous spec batch across the pool, in input order.
 
         The pool twin of :func:`repro.fastpath.engine.sweep_specs`: the
-        specs must agree on graph, budget, backend, probe, variant and
+        specs must agree on graph, budget, backend, variant and
         collection flags (they may differ in sources and RNG
         ``stream``), resolve to one :class:`BatchKey` through
-        :func:`~repro.fastpath.engine.batch_key_of` on the pool's index
-        (whose memoised rounds probe the pool pays for at most once),
+        :func:`~repro.fastpath.engine.batch_key_of` on the pool's index,
         and every run carries its own spec's stream key into whatever
         chunk it lands on -- bit-identical to the serial spec sweep for
         every worker count and chunk size.
@@ -398,7 +397,6 @@ def parallel_sweep(
     collect_senders: bool = False,
     collect_receives: bool = False,
     variant: Optional[VariantSpec] = None,
-    probe: bool = True,
 ) -> List[IndexedRun]:
     """Sharded drop-in for :func:`repro.fastpath.sweep`.
 
@@ -430,7 +428,7 @@ def parallel_sweep(
     index = IndexedGraph.of(graph)
     id_lists = [index.resolve_sources(sources) for sources in source_sets]
     budget = _resolve_budget(graph, max_rounds)
-    chosen = resolve_backend(index, backend, budget, variant, probe, batch=True)
+    chosen = resolve_backend(index, backend, variant)
     if chunksize is not None and chunksize < 1:
         raise ConfigurationError("chunksize must be >= 1")
     key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)

@@ -12,12 +12,11 @@ naturally, and degrade gracefully under load.
   bounded-queue backpressure (:class:`QueueFull` or FIFO waiting,
   caller's choice), per-request round budgets and timeouts
   (:class:`QueryTimeout`), per-topology registration/caching, and
-  rounds-aware backend routing;
+  backend resolution by the one rule every tier shares;
 * :class:`MicroBatcher` -- the window/size coalescing policy;
-* :class:`Router` -- the routing hook: the batch rule of
-  :func:`repro.fastpath.engine.resolve_backend` (long floods to the
-  O(n + m) oracle backend, short dense ones to the vectorised
-  frontier engine), with the rounds probe memoised per index;
+* :class:`Router` -- the resolution hook: a one-line delegate to
+  :func:`repro.fastpath.engine.resolve_backend` (variants to the pure
+  stepper, ``backend=None`` to the frontier auto-selection);
 * :mod:`repro.service.errors` -- the typed error family
   (:class:`ServiceError` and friends, all under
   :class:`repro.errors.ReproError`).

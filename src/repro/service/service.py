@@ -5,12 +5,12 @@ low-latency query service: concurrent callers ``await
 service.query_spec(spec)`` and the service coalesces their
 requests into sharded batches over warm :class:`~repro.parallel.SweepPool`
 workers, with bounded-queue backpressure, per-request round budgets
-and timeouts, per-topology caching and rounds-aware backend routing.
+and timeouts, per-topology caching and backend resolution.
 
 Dataflow (one request's life)::
 
     caller ──FloodSpec()───►  validated at construction (errors raise here)
-    caller ──query_spec()──►  route backend (memoised rounds probe)
+    caller ──query_spec()──►  resolve backend (fastpath.resolve_backend)
                               admit: bounded pending gate ── full? ──► QueueFull
                                                                   or await slot
                               micro-batcher bucket keyed by the spec's
@@ -33,7 +33,8 @@ Determinism contract: the result a caller gets for a spec is
 worker count, batching window, and interleaving of concurrent callers.
 Batching and sharding change scheduling, never content: requests keep
 arrival order inside a batch, the pool streams results back in input
-order, and routing is a pure function of (graph, budget), not of load.
+order, and backend resolution is a pure function of the graph and the
+request, not of load.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from repro.cache.lru import CacheStats, ResultCache
 from repro.errors import ConfigurationError
 from repro.fastpath.engine import IndexedRun
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.probe import index_probe
 from repro.graphs.graph import Graph
 from repro.parallel.pool import SweepPool, serial_batch_ids, worker_count
 from repro.service.batcher import MicroBatcher
@@ -99,7 +99,7 @@ class ServiceStats:
     ``batched_requests / batches`` is the effective coalescing factor;
     ``rejected`` counts :class:`~repro.service.errors.QueueFull`
     rejections, ``waited`` the admissions that blocked on a slot, and
-    ``backends`` how routing actually distributed the traffic.
+    ``backends`` how backend resolution actually distributed the traffic.
 
     The ``cache_*`` counters are all zero unless the service was built
     with a result cache: ``cache_hits`` are queries served straight
@@ -410,14 +410,14 @@ class FloodService:
         """Register (or touch) a topology; returns its frozen CSR index.
 
         Registration is where the per-graph costs are paid once: the
-        CSR freeze, the pickled-index transfer into a warm worker pool
-        (when ``workers >= 1``), and the routing probe (memoised on the
-        index).  This call **blocks** while the pool forks and warms --
-        that is its purpose (move the warm-up off the first request's
-        latency); call it from setup code, not from a latency-sensitive
-        coroutine.  ``query_spec``/``query_batch_specs`` auto-register unseen
-        graphs too, building the pool off-loop so concurrent callers
-        keep flowing.
+        CSR freeze and the pickled-index transfer into a warm worker
+        pool (when ``workers >= 1``).  This call **blocks** while the
+        pool forks and warms -- that is its purpose (move the warm-up
+        off the first request's latency); call it from setup code, not
+        from a latency-sensitive coroutine.
+        ``query_spec``/``query_batch_specs`` auto-register unseen graphs
+        too, building the pool off-loop so concurrent callers keep
+        flowing.
         """
         if self._closed:
             raise ServiceClosed()
@@ -425,9 +425,6 @@ class FloodService:
         self._clear_failed_warmup(entry)
         if self.workers >= 1 and entry.pool is None and entry.pool_task is None:
             entry.pool = self._build_pool(entry.graph)
-        # Warm the routing probe as well -- register() is the blocking
-        # warm-up hook, and the first routed query should pay nothing.
-        index_probe(entry.index)
         return entry.index
 
     @staticmethod
@@ -505,10 +502,6 @@ class FloodService:
             None, partial(self._build_pool, entry.graph)
         )
         entry.pool = pool
-        # Warm the routing probe off-loop too: its cover-BFS passes are
-        # O(samples * (n + m)) and would otherwise run on the loop
-        # thread during the first routed query (a memo hit is free).
-        await loop.run_in_executor(None, index_probe, entry.index)
         return pool
 
     def _evict(self, entry: _GraphEntry) -> None:
@@ -809,16 +802,7 @@ class FloodService:
             )
         entry = await self._entry_async(spec.graph, slots)
         try:
-            # Routing runs after entry acquisition so a cold graph's
-            # probe is the one _warm_pool precomputed off-loop; for a
-            # warm topology this is a memo hit.
-            chosen = self._router.resolve(
-                entry.index,
-                spec.backend,
-                spec.max_rounds,
-                spec.variant,
-                probe=spec.probe,
-            )
+            chosen = self._router.resolve(entry.index, spec.backend, spec.variant)
         except BaseException:
             entry.untrack(slots)
             raise

@@ -48,7 +48,6 @@ PERTURBATIONS = {
     "sources": ({}, (1,)),
     "max_rounds": ({}, 21),
     "backend": ({}, "pure"),
-    "probe": ({}, False),
     "variant": ({}, thinning(0.5, seed=4)),
     # An extension scenario keeps its canonical string (built-ins fold
     # into ``variant``); it excludes a variant and keeps its stream.

@@ -209,9 +209,8 @@ class TestServiceEquivalence:
         async def main():
             async with FloodSession(workers=0, cache=cache) as session:
                 warmed = session.run(spec)  # sync miss, stores
-                # probe=True batch routing may resolve differently from
-                # the single-run path; pin the backend so the async
-                # query addresses the same entry the sync run stored.
+                # Both tiers resolve backend=None by the one rule, so
+                # the async query reads the entry the sync run stored.
                 return warmed, await session.aquery(spec)
 
         warmed, async_result = asyncio.run(main())

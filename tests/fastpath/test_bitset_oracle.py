@@ -15,11 +15,11 @@ This suite pins:
 * the word-packing edge cases: batch sizes off the 64-bit word
   boundary, single-run batches, all-nodes batches, and tail words that
   are mostly empty;
-* the routed paths -- serial ``sweep``/``sweep_specs``,
-  ``FloodSession.sweep``, ``parallel_sweep`` pool chunks and the
-  probe-routed ``backend=None`` lane -- all bit-identical to the
-  per-source oracle, plus the eligibility gate (variants and small
-  batches never enter the bitset lane).
+* the dispatched paths of explicit oracle batches -- serial
+  ``sweep``/``sweep_specs``, ``FloodSession.sweep`` and
+  ``parallel_sweep`` pool chunks -- all bit-identical to the per-source
+  oracle, plus the eligibility gate (variants, small batches and
+  ``backend=None`` batches never enter the bitset lane).
 """
 
 from __future__ import annotations
@@ -240,17 +240,6 @@ class TestRoutedPaths:
                 for run, reference in zip(runs, serial):
                     assert_runs_equal(run, reference)
 
-    def test_probe_routes_long_floods_into_bitset_lane(self):
-        # A big odd cycle floods for n rounds: the probe routes
-        # backend=None to the oracle, whose batch then takes the
-        # bitset lane -- still bit-identical to the per-source oracle.
-        graph = cycle_graph(90)
-        source_sets = [[v] for v in graph.nodes()]
-        runs = sweep(graph, source_sets, backend=None, probe=True)
-        assert all(run.backend == "oracle" for run in runs)
-        for run, reference in zip(runs, self.expected(graph, source_sets)):
-            assert_runs_equal(run, reference)
-
 
 class TestEligibilityGate:
     def poisoned(self, monkeypatch):
@@ -284,6 +273,16 @@ class TestEligibilityGate:
         source_sets = [[v] for v in graph.nodes()]
         runs = sweep(graph, source_sets, backend="pure")
         assert len(runs) == len(source_sets)
+
+    def test_auto_batches_never_take_the_bitset_lane(self, monkeypatch):
+        # backend=None resolves to a frontier engine even on a long
+        # odd-cycle flood, so only explicit oracle batches reach the lane.
+        self.poisoned(monkeypatch)
+        graph = cycle_graph(91)
+        source_sets = [[v] for v in graph.nodes()]
+        runs = sweep(graph, source_sets)
+        assert all(run.backend != "oracle" for run in runs)
+        assert all(run.termination_round == 91 for run in runs)
 
     def test_large_oracle_batches_do_take_the_bitset_lane(self, monkeypatch):
         taken = []

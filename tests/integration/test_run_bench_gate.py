@@ -77,7 +77,7 @@ class TestSmokeGate:
         completed = run_quick(
             tmp_path,
             force_fail=False,
-            keyword="forced_failure or oracle_long",
+            keyword="forced_failure or auto_long",
             extra_args=("--summary", str(summary)),
         )
         assert completed.returncode == 0, (
@@ -87,7 +87,7 @@ class TestSmokeGate:
         payload = json.loads(summary.read_text())
         assert payload["mode"] == "quick"
         assert any(
-            row["benchmark"].startswith("test_ext_par_oracle_long")
+            row["benchmark"].startswith("test_ext_par_auto_long")
             for row in payload["rows"]
         )
         # Quick mode must never rewrite the committed trajectory.

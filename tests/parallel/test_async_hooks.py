@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import BatchKey, FloodSpec
 from repro.errors import ConfigurationError
-from repro.fastpath import IndexedGraph, batch_key_of, routed_sweep_backend, sweep
+from repro.fastpath import IndexedGraph, batch_key_of, select_backend, sweep
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import SweepPool, serial_batch_ids
 from repro.parallel.pool import _resolve_budget
@@ -98,7 +98,7 @@ class TestSerialBatchIds:
         index = IndexedGraph.of(graph)
         id_lists = [index.resolve_sources(s) for s in source_sets]
         budget = _resolve_budget(graph, None)
-        backend = routed_sweep_backend(index, None, budget)
+        backend = select_backend(index, None)
         key = BatchKey(budget, backend, False, False)
         runs = serial_batch_ids(index, id_lists, key)
         assert_runs_identical(sweep(graph, source_sets), runs)

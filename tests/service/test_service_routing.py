@@ -1,34 +1,31 @@
-"""Rounds-aware routing: long floods to the oracle, short ones to the
-frontier engines, explicit backends always respected.
+"""Service backend resolution: the one rule, explicit backends respected.
 
-Routing must also be *deterministic* -- a pure function of (graph,
-budget) -- so the backend recorded on a result never depends on load
-or interleaving.
+The service resolves every request with
+``fastpath.engine.resolve_backend``: ``backend=None`` auto-selects a
+frontier engine (long floods included), explicit names win, and the
+choice is *deterministic* -- a pure function of the graph and the
+request -- so the backend recorded on a result never depends on load
+or interleaving.  The double-cover rounds probe survives only as a
+function (perfbench still binds it); no tier calls it.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
-import threading
-
-import pytest
 
 from repro.api import FloodSpec
 from repro.fastpath import (
     IndexedGraph,
-    ORACLE_ROUND_THRESHOLD,
     available_backends,
-    expected_rounds,
-    probe_termination_rounds,
-    routed_backend,
     select_backend,
     sweep,
 )
-from repro.fastpath.probe import index_probe
+from repro.fastpath.probe import probe_termination_rounds, routed_backend
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi
 from repro.service import FloodService
 from repro.service.routing import Router
+
+LONG = cycle_graph(129)  # odd: floods run 129 rounds
 
 
 def query_backend(graph, sources, **kwargs):
@@ -63,41 +60,17 @@ class TestProbe:
             index
         )
 
-    def test_expected_rounds_clamps_to_budget(self):
-        assert expected_rounds((100, 90)) == 100
-        assert expected_rounds((100, 90), budget=10) == 10
-        assert expected_rounds((5,), budget=10) == 5
-        assert expected_rounds(()) == 0
-
-
-class TestRoutedBackend:
-    def test_long_cycle_routes_to_oracle(self):
-        n = 4 * ORACLE_ROUND_THRESHOLD + 1
-        index = IndexedGraph.of(cycle_graph(n))
-        probe = probe_termination_rounds(index)
-        assert routed_backend(index, probe) == "oracle"
-
-    def test_short_dense_graph_routes_to_frontier(self):
-        index = IndexedGraph.of(complete_graph(12))
-        probe = probe_termination_rounds(index)
-        chosen = routed_backend(index, probe)
-        assert chosen == select_backend(index, None)
-        assert chosen != "oracle"
-
-    def test_tight_budget_reverts_to_frontier(self):
-        """A budget below the threshold makes the per-round engines
-        cheap again, even on a long-flood family."""
-        n = 4 * ORACLE_ROUND_THRESHOLD + 1
-        index = IndexedGraph.of(cycle_graph(n))
-        probe = probe_termination_rounds(index)
-        assert routed_backend(index, probe, budget=2) != "oracle"
-        assert routed_backend(index, probe, budget=n) == "oracle"
+    def test_routed_backend_delegates_to_select_backend(self):
+        for graph in (LONG, complete_graph(12)):
+            index = IndexedGraph.of(graph)
+            assert routed_backend(index) == select_backend(index, None)
 
 
 class TestServiceRouting:
-    def test_service_routes_long_floods_to_oracle(self):
-        graph = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
-        assert query_backend(graph, [0]) == "oracle"
+    def test_service_keeps_long_floods_on_the_frontier_rule(self):
+        expected = select_backend(IndexedGraph.of(LONG), None)
+        assert expected != "oracle"
+        assert query_backend(LONG, [0]) == expected
 
     def test_service_routes_short_floods_to_frontier(self):
         graph = complete_graph(12)
@@ -106,18 +79,16 @@ class TestServiceRouting:
         assert backend != "oracle"
 
     def test_explicit_backend_wins(self):
-        graph = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
-        assert query_backend(graph, [0], backend="pure") == "pure"
+        assert query_backend(LONG, [0], backend="pure") == "pure"
         graph2 = complete_graph(10)
         assert query_backend(graph2, [0], backend="oracle") == "oracle"
 
     def test_budget_aware_service_routing(self):
-        graph = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
-        assert query_backend(graph, [0], max_rounds=2) != "oracle"
+        assert query_backend(LONG, [0], max_rounds=2) != "oracle"
 
     def test_routed_results_still_match_serial(self):
-        """Whatever routing picks, the statistics equal the serial
-        sweep with that backend."""
+        """Whatever resolution picks, the statistics equal the serial
+        sweep with that backend and the oracle's."""
         graph = cycle_graph(101)
         sets = [[v] for v in graph.nodes()[:6]]
 
@@ -129,105 +100,55 @@ class TestServiceRouting:
 
         results = asyncio.run(run())
         serial = sweep(graph, sets, backend=results[0].backend)
-        for expected, actual in zip(serial, results):
+        oracle = sweep(graph, sets, backend="oracle")
+        for expected, predicted, actual in zip(serial, oracle, results):
             assert expected.backend == actual.backend
             assert expected.termination_round == actual.termination_round
             assert expected.total_messages == actual.total_messages
             assert expected.round_edge_counts == actual.round_edge_counts
+            assert predicted.round_edge_counts == actual.round_edge_counts
 
     def test_stats_record_backend_mix(self):
-        long_cycle = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
         dense = complete_graph(12)
 
         async def run():
             async with FloodService(workers=0) as service:
-                await service.query_spec(FloodSpec(long_cycle, [0]))
+                await service.query_spec(FloodSpec(LONG, [0]))
+                await service.query_spec(FloodSpec(LONG, [0], backend="oracle"))
                 await service.query_spec(FloodSpec(dense, [0]))
                 return dict(service.stats.backends)
 
         mix = asyncio.run(run())
         assert mix.get("oracle") == 1
-        assert sum(mix.values()) == 2
+        assert sum(mix.values()) == 3
 
 
-def patch_probe(monkeypatch, replacement):
-    import repro.fastpath.probe as probe_module
-
-    monkeypatch.setattr(probe_module, "probe_termination_rounds", replacement)
-
-
-def counting_probe(monkeypatch):
-    """Patch the probe with a recorder; returns the list of calls."""
-    calls = []
-
-    def counting(index, *args, **kwargs):
-        calls.append(threading.current_thread() is threading.main_thread())
-        return probe_termination_rounds(index, *args, **kwargs)
-
-    patch_probe(monkeypatch, counting)
-    return calls
-
-
-@pytest.mark.usefixtures("fresh_indexes")
-class TestProbeMemo:
-    def test_probe_computed_once_per_index(self, monkeypatch):
-        calls = counting_probe(monkeypatch)
+class TestNoProbe:
+    def test_router_resolves_like_the_engine(self):
         router = Router()
-        index = IndexedGraph.of(cycle_graph(15))
-        first = router.resolve(index, None, 100)
-        second = router.resolve(index, None, 100)
-        assert first == second
-        assert len(calls) == 1
+        index = IndexedGraph.of(LONG)
+        assert router.resolve(index, None) == select_backend(index, None)
+        assert router.resolve(index, "pure") == "pure"
 
-    def test_explicit_backend_skips_probe(self, monkeypatch):
+    def test_service_never_probes(self, monkeypatch):
+        """register(), the pooled warm-up and every query resolve
+        without a cover-BFS pass."""
+        import repro.fastpath.probe as probe_module
+
         def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("explicit backends must not probe")
+            raise AssertionError("backend resolution must not probe")
 
-        patch_probe(monkeypatch, boom)
-        router = Router()
-        index = IndexedGraph.of(cycle_graph(15))
-        assert router.resolve(index, "pure", 100) == "pure"
-
-    def test_memo_is_dropped_on_pickling(self, monkeypatch):
-        """The memo is process-local working state, like the backend
-        caches: an unpickled index (a pool worker's copy) starts cold."""
-        calls = counting_probe(monkeypatch)
-        index = IndexedGraph.of(cycle_graph(15))
-        assert index_probe(index) == index_probe(index)
-        copy = pickle.loads(pickle.dumps(index))
-        assert index_probe(copy) == index_probe(index)
-        assert len(calls) == 2
-
-    def test_register_warms_the_probe(self, monkeypatch):
-        """register() is the blocking warm-up hook: after it, the first
-        routed query must find the probe memoised (no cover-BFS on the
-        event-loop thread)."""
-        graph = cycle_graph(4 * ORACLE_ROUND_THRESHOLD + 1)
-        service = FloodService(workers=0)
-        calls = counting_probe(monkeypatch)
-        service.register(graph)
-        assert calls == [True]
+        monkeypatch.setattr(probe_module, "probe_termination_rounds", boom)
+        serial = FloodService(workers=0)
+        serial.register(LONG)
 
         async def run():
-            async with service:
-                return await service.query_spec(FloodSpec(graph, [0]))
+            async with serial:
+                first = await serial.query_spec(FloodSpec(LONG, [0]))
+            async with FloodService(workers=1) as pooled:
+                second = await pooled.query_spec(FloodSpec(cycle_graph(23), [0]))
+            return first, second
 
-        assert asyncio.run(run()).backend == "oracle"
-        assert calls == [True]
-
-    def test_pooled_auto_registration_warms_the_probe_off_loop(
-        self, monkeypatch
-    ):
-        """Auto-registering a cold graph through query_spec() computes
-        the probe exactly once, on an executor thread -- not on the
-        event loop -- and routing then reads the memo."""
-        graph = cycle_graph(23)
-        on_main_thread = counting_probe(monkeypatch)
-
-        async def run():
-            async with FloodService(workers=1) as service:
-                return await service.query_spec(FloodSpec(graph, [0]))
-
-        result = asyncio.run(run())
-        assert result.termination_round == 23
-        assert on_main_thread == [False]
+        first, second = asyncio.run(run())
+        assert first.termination_round == 129
+        assert second.termination_round == 23

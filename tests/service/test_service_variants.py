@@ -6,7 +6,7 @@ variant=...)`` of the same request for every worker mode and
 interleaving -- coalescing cannot move a query onto a different RNG
 stream, because stream keys are derived per request, never from batch
 position.  Stochastic requests must never route to the deterministic
-double-cover oracle, explicitly or via the rounds probe.
+double-cover oracle, whether they name it or resolve automatically.
 """
 
 from __future__ import annotations
@@ -120,14 +120,16 @@ class TestVariantQueries:
 
 class TestVariantRouting:
     def test_stochastic_never_routes_to_oracle(self):
-        # This topology's rounds probe sends deterministic backend=None
-        # queries to the oracle; the stochastic variant must still land
-        # on the pure stepper.
+        # The deterministic request names the oracle and gets it; the
+        # stochastic variant on the same topology with backend=None
+        # must still land on the pure stepper.
         graph = cycle_graph(64)
 
         async def main():
             async with FloodService(workers=0) as service:
-                deterministic = await service.query_spec(FloodSpec(graph, [0]))
+                deterministic = await service.query_spec(
+                    FloodSpec(graph, [0], backend="oracle")
+                )
                 stochastic = await service.query_spec(
                     FloodSpec(graph, [0], variant=bernoulli_loss(0.2, seed=1))
                 )
