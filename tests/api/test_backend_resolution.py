@@ -135,6 +135,24 @@ def test_explicit_and_variant_specs_resolve_alike_at_every_tier(name):
     assert backends == dict.fromkeys(backends, {expected})
 
 
+PLAN_SPECS = {
+    "c101": FloodSpec(C101, (0,)),
+    "k8": FloodSpec(complete_graph(8), (0,)),
+    "er-dense": FloodSpec(DENSE, (DENSE.nodes()[0],)),
+    **SPECS,
+}
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 40])
+@pytest.mark.parametrize("name", sorted(PLAN_SPECS))
+def test_plan_matches_sweep(name, batch_size):
+    spec = PLAN_SPECS[name]
+    with FloodSession(workers=0) as session:
+        planned = session.plan(spec, batch_size).backend
+        swept = session.sweep([spec] * batch_size)[0].backend
+    assert planned == swept
+
+
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_simulate_resolves_like_run_spec(name, monkeypatch):
     # core.simulate builds its own plain spec; spy on the run it
