@@ -34,7 +34,6 @@
 
 PYTHON ?= python
 SMOKE_SUMMARY ?= smoke-summary.json
-PERFBENCH_WORKLOADS ?= sweep_long sweep_dense serve_trickle serve_zipf
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint typecheck smoke bench example examples
@@ -68,7 +67,7 @@ smoke:
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
 	$(PYTHON) -m pytest -x -q perfbench/tests
-	for workload in $(PERFBENCH_WORKLOADS); do \
+	for workload in sweep_long sweep_dense serve_trickle serve_zipf; do \
 		$(PYTHON) perfbench/run.py --workload $$workload --seed 7 \
 			--seconds 1 --trace 1 || exit 1; \
 	done

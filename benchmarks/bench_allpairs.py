@@ -10,6 +10,10 @@ rests on:
   lane, ``parallel_sweep(..., backend="oracle")`` (the word-packed
   bitset cover sweep), round-for-round identical, **>= 2x** asserted on
   the full workload;
+* ``bitset_lane_vs_per_source`` -- what keeps the bitset lane: an
+  explicit ``backend="oracle"`` batch through ``sweep`` (the word-packed
+  cover sweep from ``BITSET_MIN_BATCH`` runs up) vs one per-source
+  oracle BFS per set, at the threshold batch and at the full pair cap;
 * ``frontier_crossover`` -- the evidence behind ``select_backend``: the
   pure and numpy frontier engines timed head-to-head at three graph
   sizes and mean degree 2 / 4 / 8 / 32, so both
@@ -30,10 +34,12 @@ import time
 import pytest
 
 from repro.core import all_pairs_termination
-from repro.fastpath import IndexedGraph, select_backend, sweep
+from repro.fastpath import IndexedGraph, oracle_backend, select_backend, sweep
+from repro.fastpath.engine import BITSET_MIN_BATCH
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import parallel_sweep
+from repro.sync.engine import default_round_budget
 
 from conftest import record
 
@@ -108,8 +114,89 @@ def test_ext_ap_auto_vs_oracle_lane(benchmark, allpairs_workload):
         backend="auto",
         auto_backend=select_backend(IndexedGraph.of(graph), None),
         batch=PAIRS,
-        serial_seconds=round(oracle_seconds, 4),
+        auto_seconds=round(auto_seconds, 4),
+        oracle_lane_seconds=round(oracle_seconds, 4),
         baseline="oracle_lane",
+        speedup=round(speedup, 2),
+    )
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the bitset lane needs numpy")
+@pytest.mark.parametrize("batch", [BITSET_MIN_BATCH, PAIRS])
+def test_ext_ap_bitset_lane_vs_per_source(
+    benchmark, allpairs_workload, batch
+):
+    """Explicit oracle batches: the bitset lane vs the per-source oracle.
+
+    The timed region is ``sweep(graph, pairs, backend="oracle")``, which
+    sends a deterministic batch of ``BITSET_MIN_BATCH`` or more runs down
+    the word-packed cover sweep.  The baseline is one
+    ``oracle_backend.run`` per pair over the same index and budget --
+    what smaller batches run.  Round-for-round equality is asserted
+    before any timing claim; both sides take the min of interleaved
+    repetitions.  The full workload asserts the lane wins at the
+    threshold batch (so ``BITSET_MIN_BATCH`` is not set too low) and by
+    >= 5x at the pair cap.
+    """
+    graph = allpairs_workload
+    pairs = [
+        pair for pair, _ in all_pairs_termination(graph, pair_limit=batch)
+    ]
+    runs = benchmark.pedantic(
+        sweep,
+        args=(graph, pairs),
+        kwargs={"backend": "oracle"},
+        rounds=1,
+        iterations=1,
+    )
+    index = IndexedGraph.of(graph)
+    budget = default_round_budget(graph)
+    id_lists = [index.resolve_sources(pair) for pair in pairs]
+
+    def per_source():
+        return [
+            oracle_backend.run(
+                index, ids, budget, collect_senders=False, collect_receives=False
+            )
+            for ids in id_lists
+        ]
+
+    assert [run.termination_round for run in runs] == [
+        len(raw[1]) for raw in per_source()
+    ]
+
+    def timed(call):
+        started = time.perf_counter()
+        call()
+        return time.perf_counter() - started
+
+    bitset_times = [benchmark.stats.stats.min]
+    per_source_times = []
+    for repeat in range(3):
+        per_source_times.append(timed(per_source))
+        if repeat:
+            bitset_times.append(
+                timed(lambda: sweep(graph, pairs, backend="oracle"))
+            )
+    bitset_seconds = min(bitset_times)
+    per_source_seconds = min(per_source_times)
+    speedup = per_source_seconds / bitset_seconds
+    if not QUICK:
+        floor = 5.0 if batch == PAIRS else 1.0
+        assert speedup >= floor, (
+            f"bitset lane only {speedup:.2f}x over the per-source oracle "
+            f"on {batch} pairs of a {NODES}-node graph"
+        )
+    record(
+        benchmark,
+        nodes=graph.num_nodes,
+        edges=graph.num_edges,
+        backend="oracle",
+        batch=batch,
+        workers=0,
+        bitset_seconds=round(bitset_seconds, 4),
+        per_source_seconds=round(per_source_seconds, 4),
+        baseline="per_source",
         speedup=round(speedup, 2),
     )
 

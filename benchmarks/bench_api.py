@@ -60,7 +60,7 @@ def test_ext_api_facade_overhead(benchmark, workload):
     graph, sets, specs = workload
 
     with FloodSession(workers=0) as session:
-        # Warm both code paths (index freeze, probe cache) before
+        # Warm both code paths (index freeze, send-mask memo) before
         # timing, then alternate direct/facade best-of-N so neither
         # side owns the cold caches.
         direct_runs = sweep(graph, sets)

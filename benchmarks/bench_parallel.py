@@ -206,10 +206,13 @@ def test_ext_par_auto_long_floods(benchmark):
     work is O(n + m + rounds), and it beats both the per-round numpy
     engine and the double-cover oracle lanes.  The timed region is bare
     ``sweep_specs`` with ``backend=None``; the baseline is the same
-    batch with ``backend="pure"`` named explicitly.  The auto-selected
-    batch must stay within 1.1x of it on the full and the quick
-    workload alike (min of interleaved repetitions, so one noisy pass
-    cannot decide the ratio).
+    batch with ``backend="pure"`` named explicitly.  Both workloads
+    assert that ``backend=None`` resolves to pure with bit-identical
+    statistics; the full workload also asserts the auto-selected batch
+    stays within 1.1x of the explicit one (min of interleaved
+    repetitions, so one noisy pass cannot decide the ratio).  The quick
+    workload records the ratio only: when both sides run the same
+    engine, a 10% bound on a shared small runner measures noise.
     """
     from repro.fastpath import sweep_specs
     from repro.graphs import cycle_graph
@@ -243,10 +246,11 @@ def test_ext_par_auto_long_floods(benchmark):
         run.round_edge_counts for run in pure_runs
     ]
     auto_backend = runs[0].backend
+    assert auto_backend == "pure"
     auto_seconds = min(auto_times)
     pure_seconds = min(pure_times)
     ratio = auto_seconds / pure_seconds
-    assert ratio <= 1.1, (
+    assert QUICK or ratio <= 1.1, (
         f"backend=None took {ratio:.2f}x explicit pure on C{n} x {batch} "
         f"(resolved to {auto_backend})"
     )

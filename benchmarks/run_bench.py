@@ -89,6 +89,10 @@ EXTRA_ROW_KEYS = (
     "chunksize",
     "usable_cores",
     "serial_seconds",
+    "auto_seconds",
+    "oracle_lane_seconds",
+    "bitset_seconds",
+    "per_source_seconds",
     "auto_backend",
     "pure_seconds",
     "numpy_seconds",

@@ -99,7 +99,9 @@ BITSET_MIN_BATCH = 16
 
 Below this the word-packed pass cannot amortise its numpy setup over
 enough runs to beat the per-source Python BFS; at 16+ runs a single
-word sweep replaces 16+ full passes.  Chunked tiers shard at
+word sweep replaces 16+ full passes (``bench_allpairs.py``'s
+``bitset_lane_vs_per_source`` rows measure the gain at 16 and 512
+runs).  Chunked tiers shard at
 :data:`repro.parallel.pool.MAX_CHUNK` = 64 = one full word, so pool
 chunks of eligible batches arrive word-aligned."""
 

@@ -5,8 +5,9 @@ is chosen: variants resolve through ``variant_backend``, everything
 else through ``select_backend`` -- for single runs and batches of every
 size alike.  So a ``backend=None`` spec runs on the engine
 ``select_backend(index, None)`` picks wherever it goes: ``run_spec``,
-the serial and pooled sweeps, ``parallel_sweep``, the session's
-planner, ``run``, ``sweep`` and ``aquery``, and the service.
+``core.simulate``, the serial and pooled sweeps, ``parallel_sweep``,
+the session's planner, ``run``, ``sweep`` and ``aquery``, and the
+service.
 ``all_pairs_termination`` and ``receipt_counts`` take the same rule
 and must equal the double-cover oracle's answers.
 """
@@ -99,7 +100,7 @@ def tier_backends(specs):
         )
 
     served, queried = asyncio.run(serve())
-    return {
+    backends = {
         "run_spec": {run_spec(spec).backend for spec in specs},
         "sweep_specs": {run.backend for run in sweep_specs(specs)},
         "SweepPool.sweep_specs": pooled,
@@ -110,6 +111,31 @@ def tier_backends(specs):
         "FloodService.query_spec": served,
         "FloodSession.aquery": queried,
     }
+    if head.variant is None:
+        backends["core.simulate"] = simulated_backends(specs)
+    return backends
+
+
+def simulated_backends(specs):
+    """The backends ``core.simulate`` ran ``specs`` on.
+
+    ``simulate`` builds its own plain spec; spy on the run it delegates
+    to for the backend it resolved.
+    """
+    seen = set()
+
+    def spying(inner, index=None):
+        run = run_spec(inner, index)
+        seen.add(run.backend)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amnesiac_module, "run_spec", spying)
+        for spec in specs:
+            simulate(
+                spec.graph, spec.sources, spec.max_rounds, backend=spec.backend
+            )
+    return seen
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 40])
@@ -151,23 +177,6 @@ def test_plan_matches_sweep(name, batch_size):
         planned = session.plan(spec, batch_size).backend
         swept = session.sweep([spec] * batch_size)[0].backend
     assert planned == swept
-
-
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_simulate_resolves_like_run_spec(name, monkeypatch):
-    # core.simulate builds its own plain spec; spy on the run it
-    # delegates to for the backend it resolved.
-    graph = GRAPHS[name]
-    seen = []
-
-    def spying(inner, index=None):
-        run = run_spec(inner, index)
-        seen.append(run.backend)
-        return run
-
-    monkeypatch.setattr(amnesiac_module, "run_spec", spying)
-    simulate(graph, graph.nodes()[:1])
-    assert seen == [select_backend(IndexedGraph.of(graph), None)]
 
 
 def matrix_families():
