@@ -89,6 +89,10 @@ EXTRA_ROW_KEYS = (
     "chunksize",
     "usable_cores",
     "serial_seconds",
+    "simulate_seconds",
+    "speedup_vs_simulate",
+    "service_p50_ms",
+    "session_p50_ms",
     "auto_seconds",
     "oracle_lane_seconds",
     "bitset_seconds",
@@ -164,14 +168,10 @@ def trim(raw: dict) -> list:
         elif "speedup" in info:
             # Rows without a named baseline share the extra_info key:
             # PR 1's scaling rows measure against the reference
-            # simulator, the parallel rows against the serial sweep, and
-            # the service rows against the sequential
-            # simulate()-per-request server -- name them apart in the
-            # trajectory.
+            # simulator and the parallel rows against the serial sweep
+            # -- name them apart in the trajectory.
             if name.startswith(("test_ext_par_", "test_ext_api_")):
                 row["speedup_vs_serial"] = info["speedup"]
-            elif name.startswith("test_ext_svc_"):
-                row["speedup_vs_sequential"] = info["speedup"]
             elif name.startswith("test_ext_cache_"):
                 # The cache rows measure the cache-equipped service
                 # against the same service without a cache.

@@ -13,7 +13,8 @@ naturally, and degrade gracefully under load.
   caller's choice), per-request round budgets and timeouts
   (:class:`QueryTimeout`), per-topology registration/caching, and
   backend resolution by the one rule every tier shares;
-* :class:`MicroBatcher` -- the window/size coalescing policy;
+* :class:`MicroBatcher` -- the coalescing policy: next-tick flush when
+  idle, drain-or-window flush under contention, size cap;
 * :class:`Router` -- the resolution hook: a one-line delegate to
   :func:`repro.fastpath.engine.resolve_backend` (variants to the pure
   stepper, ``backend=None`` to the frontier auto-selection);

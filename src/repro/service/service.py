@@ -14,7 +14,9 @@ Dataflow (one request's life)::
                               admit: bounded pending gate ── full? ──► QueueFull
                                                                   or await slot
                               micro-batcher bucket keyed by the spec's
-                              BatchKey (+ graph entry) ── window/size ──► flush
+                              BatchKey (+ graph entry) ── flush: next tick
+                              when no batch is in flight, else at drain or
+                              batch_window, whichever first; max_batch at once
                               SweepPool.submit_batch ──chunks──► warm workers
                               (or the serial executor when workers=0)
     caller ◄──IndexedRun────  distribute batch results to request futures,
@@ -27,6 +29,15 @@ the micro-batch buckets are keyed by ``(graph entry,
 spec.batch_key(backend))`` -- the same frozen
 :class:`~repro.api.spec.BatchKey` object the pool ships in its task
 tuples, replacing the ad-hoc key tuples each layer used to maintain.
+
+Flush policy (adaptive, Nagle-style): every dispatched batch -- a
+flushed micro-batch or a ``query_batch_specs`` batch, never a pool
+retirement -- is counted in flight from dispatch until its outcome is
+distributed.  A bucket opened while nothing is in flight flushes on
+the next event-loop iteration, so a lone request on an idle service
+pays no window; one opened under contention is held until the
+in-flight batches drain or ``batch_window`` elapses, whichever comes
+first, so ``batch_window`` bounds the wait under load and nothing else.
 
 Determinism contract: the result a caller gets for a spec is
 **bit-identical** to ``repro.fastpath.sweep_specs([spec])`` -- for every
@@ -80,7 +91,13 @@ def _consume_outcome(future: "asyncio.Future") -> None:
         future.exception()
 
 DEFAULT_BATCH_WINDOW = 0.002
-"""Seconds a micro-batch bucket stays open after its first request."""
+"""Longest a request waits in a micro-batch bucket under contention.
+
+Only a bucket opened while a batch is in flight waits at all; it
+flushes when the in-flight batches drain or after this many seconds,
+whichever comes first.  On an idle service the bucket flushes on the
+next event-loop iteration.
+"""
 
 DEFAULT_MAX_BATCH = 64
 """Requests per micro-batch before it flushes early."""
@@ -271,7 +288,11 @@ class FloodService:
         Bound on admitted-but-unfinished requests across the service;
         beyond it, backpressure engages.
     batch_window / max_batch:
-        Micro-batching policy -- see :class:`~repro.service.batcher.MicroBatcher`.
+        Micro-batching policy -- see :class:`~repro.service.batcher.MicroBatcher`:
+        ``batch_window`` is the longest a request waits for company
+        while another batch is in flight (an idle service flushes on
+        the next loop iteration); ``max_batch`` flushes a full bucket
+        at once.
     max_graphs:
         Registered topologies kept warm (LRU eviction closes the
         evicted graph's pool).
@@ -520,8 +541,9 @@ class FloodService:
         """Close an evicted entry's pool once nothing can still use it.
 
         Waits for a pool still warming up, then for every admitted
-        request on this topology (bucketed ones flush on their own
-        timers) before the drain-and-join close runs in the executor.
+        request on this topology (bucketed ones flush on the next tick,
+        at the window or at the drain) before the drain-and-join close
+        runs in the executor.
         Tracked in ``_inflight`` so :meth:`close` awaits it and a
         failing ``pool.close`` surfaces instead of vanishing into a
         dropped future.
@@ -842,6 +864,8 @@ class FloodService:
         Called by the micro-batcher (event-loop callback) and by
         ``query_batch_specs`` directly; never raises into the batcher --
         failures resolve the request futures exceptionally instead.
+        A submitted batch counts as in flight for the batcher's flush
+        policy until ``_complete`` has distributed its outcome.
         ``key`` is the micro-batch key itself: the graph entry plus the
         requests' shared :class:`~repro.api.spec.BatchKey`, which rides
         into the pool (or the serial executor) unchanged.
@@ -888,6 +912,7 @@ class FloodService:
         task = loop.create_task(self._complete(entry, requests, awaitable))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
+        self._batcher.started()
 
     async def _complete(
         self,
@@ -901,6 +926,10 @@ class FloodService:
             self._resolve(entry, requests, None, exc)
         else:
             self._resolve(entry, requests, runs, None)
+        finally:
+            # After _resolve: the slots are free before the drain
+            # flushes the buckets held while this batch ran.
+            self._batcher.finished()
 
     def _resolve(
         self,

@@ -156,7 +156,7 @@ class TestEscapeHatches:
 
 
 class TestFailureAndCancellation:
-    def test_joiners_inherit_the_leaders_failure(self):
+    def test_joiners_inherit_the_leaders_failure(self, held_lane):
         async def main():
             async with FloodService(
                 workers=0, cache=ResultCache(), batch_window=0.05
@@ -172,6 +172,10 @@ class TestFailureAndCancellation:
                 def exploding_dispatch(key, requests):
                     service._resolve(key[0], requests, None, Boom("dead"))
 
+                # A batch held in the lane keeps the service busy, so
+                # the leader's bucket stays open instead of flushing.
+                blocker = asyncio.ensure_future(service.query_spec(spec_for(7)))
+                await asyncio.sleep(0)
                 leader = asyncio.ensure_future(service.query_spec(bad))
                 await asyncio.sleep(0)
                 follower = asyncio.ensure_future(service.query_spec(bad))
@@ -183,24 +187,38 @@ class TestFailureAndCancellation:
                 outcomes = await asyncio.gather(
                     leader, follower, return_exceptions=True
                 )
+                held_lane.set()
+                await blocker
                 return outcomes, Boom
 
         outcomes, boom = asyncio.run(main())
         assert all(isinstance(outcome, boom) for outcome in outcomes)
 
-    def test_cancelled_leader_still_feeds_followers_and_the_cache(self):
+    def test_cancelled_leader_still_feeds_followers_and_the_cache(
+        self, held_lane
+    ):
         async def main():
             cache = ResultCache()
             async with FloodService(
                 workers=0, cache=cache, batch_window=0.05
             ) as service:
+                # A batch held in the lane keeps the service busy, so
+                # the leader is cancelled while still bucketed.
+                blocker = asyncio.ensure_future(
+                    service.query_spec(spec_for(7, cache="bypass"))
+                )
+                await asyncio.sleep(0)
                 leader = asyncio.ensure_future(service.query_spec(spec_for(3)))
                 await asyncio.sleep(0)  # leader registered in-flight
                 follower = asyncio.ensure_future(
                     service.query_spec(spec_for(3))
                 )
                 await asyncio.sleep(0)
+                assert service._batcher.pending == 1
                 leader.cancel()
+                await asyncio.sleep(0)
+                held_lane.set()
+                await blocker
                 run = await follower
                 with pytest.raises(asyncio.CancelledError):
                     await leader

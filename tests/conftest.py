@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import threading
 from typing import List, Tuple
 
 import pytest
@@ -18,6 +20,8 @@ from repro.graphs import (
     path_graph,
 )
 from repro.graphs.random_graphs import random_connected_graph
+from repro.service import FloodService
+from repro.service import service as service_module
 
 
 # ----------------------------------------------------------------------
@@ -41,6 +45,68 @@ def triangle() -> Graph:
 def even_cycle() -> Graph:
     """Figure 3's six-cycle."""
     return paper_even_cycle()
+
+
+# ----------------------------------------------------------------------
+# FloodService fixtures: post-close settlement and a held execution lane
+# ----------------------------------------------------------------------
+
+HOLD_LIMIT_S = 10.0
+"""A held batch releases itself after this long (a failed test never hangs)."""
+
+
+def assert_settled(service: FloodService) -> None:
+    """A closed service holds no slot, bucket, timer, future or batch."""
+    batcher = service._batcher
+    assert service._gate.used == 0, f"{service._gate.used} admission slots held"
+    assert batcher.pending == 0, f"{batcher.pending} requests still bucketed"
+    assert not batcher._timers, "a flush timer outlived its bucket"
+    assert not service._inflight_results, "in-flight result futures left"
+    assert batcher._in_flight == 0, f"{batcher._in_flight} batches in flight"
+
+
+@pytest.fixture(autouse=True)
+def service_invariants(monkeypatch):
+    """Check :func:`assert_settled` on every ``FloodService`` the test closed.
+
+    Each closed service must have given everything back: admission
+    slots, bucketed requests and their flush timers, in-flight result
+    futures, and the batcher's count of dispatched batches.
+    """
+    built = []
+    original_init = FloodService.__init__
+
+    @functools.wraps(original_init)
+    def recording_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FloodService, "__init__", recording_init)
+    yield
+    for service in built:
+        if service._closed:
+            assert_settled(service)
+
+
+@pytest.fixture
+def held_lane(monkeypatch):
+    """Hold every serial-lane batch while the returned event is clear.
+
+    Parks requests without a long batching window: a batch held in the
+    lane keeps the service busy, so requests admitted behind it stay
+    bucketed (or wait for admission).  ``set()`` releases the lane;
+    ``clear()`` holds it again.
+    """
+    release = threading.Event()
+    serial_batch_ids = service_module.serial_batch_ids
+
+    def held(*args, **kwargs):
+        release.wait(HOLD_LIMIT_S)
+        return serial_batch_ids(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "serial_batch_ids", held)
+    yield release
+    release.set()
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""MicroBatcher unit behaviour: window, size cap, key separation."""
+"""MicroBatcher unit behaviour: adaptive flush, size cap, key separation."""
 
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ class TestFlushPolicy:
 
     def test_window_groups_across_ticks(self):
         async def scenario(batcher):
+            batcher.started()  # busy: the bucket waits for the window
             batcher.add("k", "a")
             await asyncio.sleep(0.005)
             batcher.add("k", "b")  # still inside the 50ms window
@@ -78,6 +79,91 @@ class TestFlushPolicy:
 
         dispatched, _ = run_batcher(10.0, 64, scenario)
         assert sorted(dispatched) == [("a", [1]), ("b", [2])]
+
+
+def recording_batcher(window, max_batch=64):
+    """A batcher whose dispatches land in the returned list."""
+    dispatched = []
+    batcher = MicroBatcher(
+        window, max_batch, lambda key, reqs: dispatched.append((key, reqs))
+    )
+    return batcher, dispatched
+
+
+class TestAdaptivePolicy:
+    """Idle buckets flush on the next tick; busy ones at drain or window."""
+
+    def test_idle_bucket_flushes_next_tick_despite_window(self):
+        batcher, dispatched = recording_batcher(10.0)
+
+        async def main():
+            batcher.add("k", "a")
+            assert dispatched == []
+            await asyncio.sleep(0)
+            assert dispatched == [("k", ["a"])]
+
+        asyncio.run(main())
+        assert batcher.pending == 0 and not batcher._timers
+
+    def test_busy_bucket_is_held_until_the_drain(self):
+        batcher, dispatched = recording_batcher(10.0)
+
+        async def main():
+            batcher.started()
+            batcher.add("k", "a")
+            await asyncio.sleep(0.02)
+            assert dispatched == []  # in flight: no next-tick flush
+            batcher.add("k", "b")
+            batcher.finished()  # the drain flushes synchronously
+            assert dispatched == [("k", ["a", "b"])]
+            assert not batcher._timers
+
+        asyncio.run(main())
+        assert batcher._in_flight == 0
+
+    def test_slow_drain_flushes_at_the_window(self):
+        batcher, dispatched = recording_batcher(0.02)
+
+        async def main():
+            batcher.started()
+            batcher.add("k", "a")
+            await asyncio.sleep(0)
+            assert dispatched == []
+            await asyncio.sleep(0.1)  # window elapses, batch still running
+            assert dispatched == [("k", ["a"])]
+            batcher.finished()  # nothing left to flush on the drain
+
+        asyncio.run(main())
+        assert dispatched == [("k", ["a"])]
+
+    def test_same_tick_adds_coalesce_when_idle(self):
+        batcher, dispatched = recording_batcher(10.0)
+
+        async def main():
+            for i in range(5):
+                batcher.add("k", i)
+            await asyncio.sleep(0)
+
+        asyncio.run(main())
+        assert dispatched == [("k", [0, 1, 2, 3, 4])]
+
+    def test_flush_all_leaves_no_live_timer(self):
+        batcher, dispatched = recording_batcher(10.0)
+
+        async def main():
+            batcher.add("idle", 1)  # next-tick handle
+            batcher.started()
+            batcher.add("busy", 2)  # window timer
+            handles = list(batcher._timers.values())
+            assert len(handles) == 2
+            batcher.flush_all()
+            assert not batcher._timers
+            assert all(handle.cancelled() for handle in handles)
+            await asyncio.sleep(0)
+            batcher.finished()
+
+        asyncio.run(main())
+        assert sorted(dispatched) == [("busy", [2]), ("idle", [1])]
 
 
 class TestValidation:

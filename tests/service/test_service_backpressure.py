@@ -32,7 +32,7 @@ def graph():
 
 
 def fill_service(service, graph, count):
-    """Admit ``count`` queries that will sit in a long batching window."""
+    """Admit ``count`` queries; with ``held_lane`` they stay admitted."""
     nodes = graph.nodes()
     return [
         asyncio.ensure_future(
@@ -43,7 +43,7 @@ def fill_service(service, graph, count):
 
 
 class TestQueueFull:
-    def test_raise_mode_rejects_when_full(self, graph):
+    def test_raise_mode_rejects_when_full(self, graph, held_lane):
         async def run():
             async with FloodService(
                 workers=0, max_pending=4, batch_window=0.2, on_full="raise"
@@ -56,6 +56,7 @@ class TestQueueFull:
                     await service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
                 assert excinfo.value.limit == 4
                 assert excinfo.value.requested == 1
+                held_lane.set()
                 results = await asyncio.gather(*tasks)
                 assert service.pending == 0
                 assert service.stats.rejected == 1
@@ -81,7 +82,7 @@ class TestQueueFull:
         assert len(runs) == 9
         assert all(run.terminated for run in runs)
 
-    def test_per_call_override_beats_service_default(self, graph):
+    def test_per_call_override_beats_service_default(self, graph, held_lane):
         async def run():
             async with FloodService(
                 workers=0, max_pending=2, batch_window=0.1, on_full="raise"
@@ -89,11 +90,16 @@ class TestQueueFull:
                 tasks = fill_service(service, graph, 2)
                 await asyncio.sleep(0.01)
                 # The override waits even though the default raises.
-                extra = await service.query_spec(
-                    FloodSpec(graph, [graph.nodes()[5]]), on_full="wait"
+                extra = asyncio.ensure_future(
+                    service.query_spec(
+                        FloodSpec(graph, [graph.nodes()[5]]), on_full="wait"
+                    )
                 )
+                await asyncio.sleep(0.01)
+                assert service.stats.waited == 1
+                held_lane.set()
                 await asyncio.gather(*tasks)
-                return extra
+                return await extra
 
         assert asyncio.run(run()).terminated
 
@@ -125,7 +131,7 @@ class TestQueueFull:
 
 
 class TestTimeouts:
-    def test_timeout_raises_typed_error(self, graph):
+    def test_timeout_raises_typed_error(self, graph, held_lane):
         async def run():
             async with FloodService(workers=0, batch_window=0.5) as service:
                 service.register(graph)
@@ -136,30 +142,38 @@ class TestTimeouts:
                 assert excinfo.value.seconds == 0.01
                 assert service.stats.timeouts == 1
                 # The abandoned flood still drains and frees its slot.
+                held_lane.set()
                 await asyncio.sleep(0.6)
                 assert service.pending == 0
 
         asyncio.run(run())
 
-    def test_default_timeout_applies(self, graph):
+    def test_default_timeout_applies(self, graph, held_lane):
         async def run():
             async with FloodService(
                 workers=0, batch_window=0.5, default_timeout=0.01
             ) as service:
                 with pytest.raises(QueryTimeout):
                     await service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
+                held_lane.set()
                 await asyncio.sleep(0.6)
 
         asyncio.run(run())
 
-    def test_per_call_none_disables_default(self, graph):
+    def test_per_call_none_disables_default(self, graph, held_lane):
         async def run():
             async with FloodService(
                 workers=0, batch_window=0.01, default_timeout=0.001
             ) as service:
-                return await service.query_spec(
-                    FloodSpec(graph, [graph.nodes()[0]]), timeout=None
+                # The held lane makes the query outlast the default.
+                query = asyncio.ensure_future(
+                    service.query_spec(
+                        FloodSpec(graph, [graph.nodes()[0]]), timeout=None
+                    )
                 )
+                await asyncio.sleep(0.02)
+                held_lane.set()
+                return await query
 
         assert asyncio.run(run()).terminated
 
@@ -177,17 +191,28 @@ class TestLifecycle:
 
         asyncio.run(run())
 
-    def test_close_drains_open_buckets(self, graph):
+    def test_close_drains_open_buckets(self, graph, held_lane):
         """Requests still sitting in a batching window complete on
         close instead of hanging."""
 
         async def run():
             service = FloodService(workers=0, batch_window=5.0)
-            async with service:
-                task = asyncio.ensure_future(
-                    service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
-                )
-                await asyncio.sleep(0.01)
+            blocker = asyncio.ensure_future(
+                service.query_spec(FloodSpec(graph, [graph.nodes()[1]]))
+            )
+            await asyncio.sleep(0.01)  # the blocker's batch holds the lane
+            task = asyncio.ensure_future(
+                service.query_spec(FloodSpec(graph, [graph.nodes()[0]]))
+            )
+            await asyncio.sleep(0.01)  # bucketed behind it for the window
+            assert service._batcher.pending == 1
+            closing = asyncio.ensure_future(service.close())
+            await asyncio.sleep(0)
+            # close() flushed the bucket itself, not the drain.
+            assert service._batcher.pending == 0
+            held_lane.set()
+            await closing
+            await blocker
             return await task
 
         assert asyncio.run(run()).terminated

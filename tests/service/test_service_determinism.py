@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
 
 import pytest
 
 from repro.api import FloodSpec
-from repro.fastpath import sweep
+from repro.fastpath import sweep, sweep_specs
 from repro.graphs import erdos_renyi
 from repro.service import FloodService
 
@@ -276,3 +277,21 @@ class TestRegistrationCaching:
 
         rounds = asyncio.run(run())
         assert rounds == [9, 11, 13, 15, 9, 11, 13, 15]
+
+
+class TestAdaptiveFlush:
+    def test_lone_query_on_idle_service_skips_the_window(self, workload):
+        """An idle service flushes on the next tick: a 5 s window never
+        delays a lone query, and the result is unchanged."""
+        graph, source_sets = workload
+        spec = FloodSpec(graph, source_sets[0])
+
+        async def run():
+            async with FloodService(workers=0, batch_window=5.0) as service:
+                started = time.perf_counter()
+                result = await service.query_spec(spec)
+                return result, time.perf_counter() - started
+
+        result, elapsed = asyncio.run(run())
+        assert elapsed < 1.0
+        assert_run_equals(sweep_specs([spec])[0], result)

@@ -35,12 +35,17 @@ class TestEvictionSafety:
                 workers=1, max_graphs=1, batch_window=0.2
             ) as service:
                 service.register(g1)
+                # A batch counted in flight makes the bucket wait out
+                # its window instead of flushing on the next tick.
+                service._batcher.started()
                 task = asyncio.ensure_future(
                     service.query_spec(FloodSpec(g1, [0], backend="pure"))
                 )
                 await asyncio.sleep(0.02)  # admitted, bucketed, not flushed
+                assert service._batcher.pending == 1
                 service.register(g2)  # evicts g1 (LRU size 1)
                 run1 = await task
+                service._batcher.finished()
                 run2 = await service.query_spec(FloodSpec(g2, [0], backend="pure"))
                 return run1, run2
 
@@ -184,7 +189,7 @@ class TestGateSlotAccounting:
 
         assert asyncio.run(run()) is True
 
-    def test_timeout_cancelled_queries_never_shrink_capacity(self):
+    def test_timeout_cancelled_queries_never_shrink_capacity(self, held_lane):
         """End-to-end form: repeatedly cancel wait-mode queries; the
         service must keep serving at full capacity afterwards."""
 
@@ -196,6 +201,7 @@ class TestGateSlotAccounting:
             ) as service:
                 service.register(graph)
                 for _ in range(3):
+                    held_lane.clear()  # the fillers' batch holds both slots
                     fillers = [
                         asyncio.ensure_future(service.query_spec(FloodSpec(graph, [v])))
                         for v in graph.nodes()[:2]
@@ -207,8 +213,10 @@ class TestGateSlotAccounting:
                     await asyncio.sleep(0.005)
                     victim.cancel()
                     await asyncio.gather(victim, return_exceptions=True)
+                    held_lane.set()
                     await asyncio.gather(*fillers)
                 assert service.pending == 0
+                assert service.stats.waited == 3  # every victim queued
                 # Full capacity still available.
                 runs = await asyncio.gather(
                     *(
