@@ -16,6 +16,9 @@
 #                 oracle, fail-fast before the full suite), the
 #                 cache-equivalence subset (cached/coalesced/persisted
 #                 results pinned bit-identical to fresh execution,
+#                 fail-fast likewise), the coalescing subset (one
+#                 execution per in-flight key, counter attribution,
+#                 and a leader's failure settling its joiners,
 #                 fail-fast likewise), the scenario-equivalence subset
 #                 (every built-in scenario's fast path pinned
 #                 bit-identical to its set-based reference across
@@ -64,6 +67,7 @@ smoke:
 	$(PYTHON) benchmarks/check_drift.py $(SMOKE_SUMMARY)
 	$(PYTHON) -m pytest -x -q tests/fastpath/test_bitset_oracle.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
+	$(PYTHON) -m pytest -x -q tests/cache/test_coalescing.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
 	$(PYTHON) -m pytest -x -q perfbench/tests

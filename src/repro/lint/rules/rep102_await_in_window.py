@@ -7,8 +7,10 @@ registration and the start of the structure that guarantees settlement
 (the covering ``try``, or the settle/hand-off itself) is a suspension
 point where a cancellation or timeout can abandon the coroutine *while
 the table already holds the future* -- the guard never runs and the
-joiners hang.  ``service.query_spec`` registers and enters its guarded
-``try`` on adjacent statements for exactly this reason.
+joiners hang.  ``FloodService._submit`` hands each pending future to
+its request before its first ``await`` and publishes the leaders into
+the shared in-flight table on the statement before its guarded
+admission ``try``, for exactly this reason.
 
 Flagged: every ``await`` expression lexically strictly between a
 future's first registration and its first protection point within the

@@ -9,26 +9,28 @@ and timeouts, per-topology caching and backend resolution.
 
 Dataflow (one request's life)::
 
-    caller ──FloodSpec()───►  validated at construction (errors raise here)
-    caller ──query_spec()──►  resolve backend (fastpath.resolve_backend)
-                              admit: bounded pending gate ── full? ──► QueueFull
-                                                                  or await slot
-                              micro-batcher bucket keyed by the spec's
-                              BatchKey (+ graph entry) ── flush: next tick
-                              when no batch is in flight, else at drain or
-                              batch_window, whichever first; max_batch at once
-                              SweepPool.submit_batch ──chunks──► warm workers
-                              (or the serial executor when workers=0)
-    caller ◄──IndexedRun────  distribute batch results to request futures,
-                              release admission slots
+    caller ──FloodSpec()───────────► validated at construction (errors raise here)
+    caller ──query_spec()─────────┐
+    caller ──query_batch_specs()──┴► _submit: resolve backend (Router.resolve);
+                                     classify each position once: cache hit,
+                                     in-flight join, or execution; register
+                                     leaders' pending futures; admit: bounded
+                                     gate ── full? ──► QueueFull or await slot
+                                     query_spec: micro-batcher bucket keyed by
+                                       (graph entry, BatchKey) ── flush: next
+                                       tick when idle, else at drain or
+                                       batch_window; max_batch at once
+                                     query_batch_specs: dispatched whole
+                                     SweepPool.submit_batch ──► warm workers
+                                     (or the serial executor when workers=0)
+    caller ◄──IndexedRun──────────── results to request futures in input
+                                     order; admission slots released
 
-Requests are :class:`~repro.api.spec.FloodSpec` values end-to-end --
-:meth:`FloodService.query_spec` for one,
-:meth:`FloodService.query_batch_specs` for a caller-shaped batch -- and
-the micro-batch buckets are keyed by ``(graph entry,
-spec.batch_key(backend))`` -- the same frozen
-:class:`~repro.api.spec.BatchKey` object the pool ships in its task
-tuples, replacing the ad-hoc key tuples each layer used to maintain.
+Requests are :class:`~repro.api.spec.FloodSpec` values end-to-end, and
+both entry points share ``_submit``; only its last step differs
+(bucket, or dispatch whole).  Buckets are keyed by ``(graph entry,
+spec.batch_key(backend))`` -- the frozen :class:`~repro.api.spec.BatchKey`
+the pool ships in its task tuples.
 
 Flush policy (adaptive, Nagle-style): every dispatched batch -- a
 flushed micro-batch or a ``query_batch_specs`` batch, never a pool
@@ -70,7 +72,7 @@ from repro.api.spec import BatchKey, FloodSpec
 from repro.cache.keys import decode_run, encode_run, lookup_run, result_cache_key
 from repro.cache.lru import CacheStats, ResultCache
 from repro.errors import ConfigurationError
-from repro.fastpath.engine import IndexedRun
+from repro.fastpath.engine import IndexedRun, ensure_homogeneous_specs
 from repro.fastpath.indexed import IndexedGraph
 from repro.graphs.graph import Graph
 from repro.parallel.pool import SweepPool, serial_batch_ids, worker_count
@@ -113,19 +115,23 @@ DEFAULT_MAX_GRAPHS = 8
 class ServiceStats:
     """Served-traffic counters, updated live by the service.
 
+    ``queries`` counts the queries of admitted calls: a call adds all
+    its positions once admission succeeds (at once when nothing needs
+    admitting); a rejected call adds only to ``rejected``, which counts
+    :class:`~repro.service.errors.QueueFull` rejections.
     ``batched_requests / batches`` is the effective coalescing factor;
-    ``rejected`` counts :class:`~repro.service.errors.QueueFull`
-    rejections, ``waited`` the admissions that blocked on a slot, and
+    ``waited`` counts the admissions that blocked on a slot, and
     ``backends`` how backend resolution actually distributed the traffic.
 
     The ``cache_*`` counters are all zero unless the service was built
-    with a result cache: ``cache_hits`` are queries served straight
-    from a stored blob (no execution, no admission slot),
-    ``cache_misses`` are queries that executed and stored their result,
-    and ``cache_coalesced`` are queries that attached to an identical
-    in-flight execution instead of starting their own (the digest-keyed
-    future table -- distinct from ``coalesced_batches``, which counts
-    micro-batches that merely *shared a dispatch*).
+    with a result cache, and follow the same once-admitted rule:
+    ``cache_hits`` are queries served straight from a stored blob,
+    ``cache_misses`` are queries admitted to execute and store their
+    result, and ``cache_coalesced`` are queries that attached to an
+    identical in-flight execution (another caller's, or an earlier
+    position of the same call) instead of starting their own -- distinct
+    from ``coalesced_batches``, which counts micro-batches that merely
+    *shared a dispatch*.
     """
 
     queries: int = 0
@@ -585,90 +591,7 @@ class FloodService:
         admission, so every identical query arriving while it runs --
         or waits for a slot -- coalesces onto it instead of executing.
         """
-        entry, chosen = await self._prepare_spec(spec, slots=1)
-        cache = self._results
-        cache_key: Optional[str] = None
-        if cache is not None and spec.cache != "bypass":
-            key = result_cache_key(spec, chosen)
-            if spec.cache == "use":
-                run = lookup_run(cache, key, spec, entry.index)
-                if run is not None:
-                    entry.untrack(1)
-                    self.stats.queries += 1
-                    self.stats.cache_hits += 1
-                    return run
-                joinable = self._inflight_results.get(key)
-                if joinable is not None and not joinable.done():
-                    entry.untrack(1)
-                    self.stats.queries += 1
-                    self.stats.cache_coalesced += 1
-                    cache.note_coalesced()
-                    # Shield: this caller's cancellation or timeout must
-                    # not cancel the future every other joiner shares.
-                    blob = await self._await_result(
-                        asyncio.shield(joinable), timeout
-                    )
-                    return self._decode_joined(blob, spec, entry.index)
-            self.stats.cache_misses += 1
-            cache_key = key
-        pending: Optional["asyncio.Future[bytes]"] = None
-        if cache_key is not None:
-            pending = self._require_loop().create_future()
-            self._inflight_results[cache_key] = pending
-        try:
-            await self._admit(1, on_full)
-        except BaseException as exc:
-            entry.untrack(1)
-            self._abort_pending(cache_key, pending, exc)
-            raise
-        request = _Request(
-            entry.index.resolve_sources(spec.sources),
-            self._require_loop().create_future(),
-            spec.run_key(),
-            cache_key=cache_key,
-            pending=pending,
-        )
-        try:
-            self._batcher.add((entry, spec.batch_key(chosen)), request)
-        except BaseException as exc:
-            self._gate.release(1)
-            entry.untrack(1)
-            self._abort_pending(cache_key, pending, exc)
-            raise
-        self.stats.queries += 1
-        return await self._await_result(request.future, timeout)
-
-    @staticmethod
-    def _decode_joined(
-        blob: bytes, spec: FloodSpec, index: IndexedGraph
-    ) -> IndexedRun:
-        """Decode the blob a coalesced execution delivered (never a miss)."""
-        run = decode_run(blob, spec, index)
-        if run is None:
-            raise ServiceError(
-                "cache codec rejected a blob it just encoded; this is a bug"
-            )
-        return run
-
-    def _abort_pending(
-        self,
-        cache_key: Optional[str],
-        pending: Optional["asyncio.Future[bytes]"],
-        exc: BaseException,
-    ) -> None:
-        """Fail a leader's in-flight future when its execution never starts.
-
-        Joiners attached to it inherit the leader's admission/submission
-        failure -- they chose to ride this execution, and nothing else
-        will ever resolve it.
-        """
-        if pending is None or cache_key is None:
-            return
-        if self._inflight_results.get(cache_key) is pending:
-            del self._inflight_results[cache_key]
-        if not pending.done():
-            pending.set_exception(exc)
-            _consume_outcome(pending)
+        return (await self._submit([spec], timeout, on_full, windowed=True))[0]
 
     async def query_batch_specs(
         self,
@@ -695,146 +618,136 @@ class FloodService:
         """
         if not specs:
             return []
-        from repro.fastpath.engine import ensure_homogeneous_specs
-
         specs = list(specs)
-        head = ensure_homogeneous_specs(specs)
-        entry, chosen = await self._prepare_spec(head, slots=len(specs))
+        ensure_homogeneous_specs(specs)
+        return await self._submit(specs, timeout, on_full, windowed=False)
+
+    async def _submit(
+        self,
+        specs: List[FloodSpec],
+        timeout: Any,
+        on_full: Optional[str],
+        *,
+        windowed: bool,
+    ) -> List[IndexedRun]:
+        """The one request path behind ``query_spec`` and ``query_batch_specs``.
+
+        Classifies each position once (hit, join or execution), registers
+        the leaders' pending futures, admits the executions atomically,
+        then buckets them (``windowed``) or dispatches them whole.  Counters
+        move only once admission succeeds; results come in input order.
+        """
+        head = specs[0]
+        if self._closed:
+            raise ServiceClosed()
+        loop = self._require_loop()
+        if head.scenario is not None:
+            raise ConfigurationError(
+                f"scenario {head.scenario!r} runs on the reference engines; use "
+                "FloodSession.run/aquery (the service serves the fast path)"
+            )
+        # Every position is tracked on the entry from here on, so
+        # eviction cannot close its pool under them; each exit untracks.
+        entry = await self._entry_async(head.graph, len(specs))
+        try:
+            chosen = self._router.resolve(entry.index, head.backend, head.variant)
+        except BaseException:
+            entry.untrack(len(specs))
+            raise
         cache = self._results
-        results: List[Optional[IndexedRun]] = [None] * len(specs)
-        miss_positions: List[int] = []
-        keys: List[Optional[str]] = [None] * len(specs)
+        index = entry.index
+        results: List[Any] = [None] * len(specs)
+        executed: List[int] = []
+        requests: List[_Request] = []
         joins: List[Tuple[int, "asyncio.Future[bytes]"]] = []
-        leaders: Dict[str, int] = {}
-        dup_of: Dict[int, str] = {}
-        if cache is None:
-            miss_positions = list(range(len(specs)))
-        else:
-            for position, spec in enumerate(specs):
-                if spec.cache == "bypass":
-                    miss_positions.append(position)
-                    continue
+        leaders: Dict[str, "asyncio.Future[bytes]"] = {}
+        hits = 0
+        for position, spec in enumerate(specs):
+            key: Optional[str] = None
+            if cache is not None and spec.cache != "bypass":
                 key = result_cache_key(spec, chosen)
+                joinable = leaders.get(key)
                 if spec.cache == "use":
-                    run = lookup_run(cache, key, spec, entry.index)
+                    run = lookup_run(cache, key, spec, index)
                     if run is not None:
                         results[position] = run
-                        self.stats.cache_hits += 1
+                        hits += 1
                         continue
-                    joinable = self._inflight_results.get(key)
-                    if joinable is not None and not joinable.done():
-                        joins.append((position, joinable))
-                        self.stats.cache_coalesced += 1
-                        cache.note_coalesced()
-                        continue
-                if key in leaders:
-                    # In-batch dedupe: a later identical miss rides the
-                    # earlier position's execution.
-                    dup_of[position] = key
-                    self.stats.cache_coalesced += 1
-                    cache.note_coalesced()
+                    if joinable is None:
+                        joinable = self._inflight_results.get(key)
+                if joinable is not None and not joinable.done():
+                    joins.append((position, joinable))
                     continue
-                self.stats.cache_misses += 1
-                leaders[key] = position
-                keys[position] = key
-                miss_positions.append(position)
-        executed = len(miss_positions)
-        if executed < len(specs):
-            # Hit/join/dedupe positions never occupy the entry.
-            entry.untrack(len(specs) - executed)
-        self.stats.queries += len(specs)
-        requests: List[_Request] = []
-        pending_by_key: Dict[str, "asyncio.Future[bytes]"] = {}
-        if executed:
-            loop = self._require_loop()
-            for position in miss_positions:
-                spec = specs[position]
-                key = keys[position]
-                pending: Optional["asyncio.Future[bytes]"] = None
-                if key is not None:
-                    pending = loop.create_future()
-                    self._inflight_results[key] = pending
-                    pending_by_key[key] = pending
-                requests.append(
-                    _Request(
-                        entry.index.resolve_sources(spec.sources),
-                        loop.create_future(),
-                        spec.run_key(),
-                        cache_key=key,
-                        pending=pending,
-                    )
-                )
+            pending: Optional["asyncio.Future[bytes]"] = None
+            if key is not None:
+                pending = loop.create_future()
+                leaders[key] = pending
+            executed.append(position)
+            ids = index.resolve_sources(spec.sources)
+            requests.append(
+                _Request(ids, loop.create_future(), spec.run_key(), key, pending)
+            )
+        # Hit and join positions never occupy the entry.
+        entry.untrack(len(specs) - len(requests))
+        if requests:
+            self._inflight_results.update(leaders)
             try:
-                await self._admit(executed, on_full)
+                await self._admit(len(requests), on_full)
             except BaseException as exc:
-                entry.untrack(executed)
+                entry.untrack(len(requests))
                 for request in requests:
-                    self._abort_pending(request.cache_key, request.pending, exc)
+                    if request.pending is not None:
+                        self._settle_pending(request, None, exc)
                 raise
-            self._dispatch((entry, head.batch_key(chosen)), requests)
-        elif not joins:
-            return results  # type: ignore[return-value]  # fully served
-        # return_exceptions so every future is retrieved even when one
-        # fails (all requests of a batch share any failure anyway).
-        gathered = asyncio.gather(
-            *(request.future for request in requests),
-            # Shield: this caller's cancellation or timeout must not
-            # cancel futures other joiners share.
-            *(asyncio.shield(joinable) for _, joinable in joins),
-            return_exceptions=True,
-        )
-        outcomes = await self._await_result(gathered, timeout)
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        for position, run in zip(miss_positions, outcomes[:executed]):
+            bucket = (entry, head.batch_key(chosen))
+            if windowed:
+                for request in requests:
+                    self._batcher.add(bucket, request)
+            else:
+                self._dispatch(bucket, requests)
+        self.stats.queries += len(specs)
+        if cache is not None:
+            self.stats.cache_hits += hits
+            self.stats.cache_misses += len(leaders)
+            self.stats.cache_coalesced += len(joins)
+            if joins:
+                cache.note_coalesced(len(joins))
+        # Shield joins: this caller's cancellation or timeout must not
+        # cancel futures other joiners share.
+        waits = [request.future for request in requests] + [
+            asyncio.shield(joinable) for _, joinable in joins
+        ]
+        if not waits:
+            return results  # fully served from the cache
+        if len(waits) == 1:
+            outcomes = [await self._await_result(waits[0], timeout)]
+        else:
+            # return_exceptions so every future is retrieved even when
+            # one fails (all requests of a batch share any failure).
+            outcomes = await self._await_result(
+                asyncio.gather(*waits, return_exceptions=True), timeout
+            )
+            for outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+        for position, run in zip(executed, outcomes):
             results[position] = run
-        for (position, _), blob in zip(joins, outcomes[executed:]):
-            results[position] = self._decode_joined(
-                blob, specs[position], entry.index
-            )
-        for position, key in dup_of.items():
-            results[position] = self._decode_joined(
-                pending_by_key[key].result(), specs[position], entry.index
-            )
-        return results  # type: ignore[return-value]
+        for (position, _), blob in zip(joins, outcomes[len(requests):]):
+            run = decode_run(blob, specs[position], index)
+            if run is None:  # the join's leader encoded it: never a miss
+                raise ServiceError(
+                    "cache codec rejected a blob it just encoded; this is a bug"
+                )
+            results[position] = run
+        return results
 
     # -- internals -----------------------------------------------------
 
-    async def _prepare_spec(
-        self, spec: FloodSpec, slots: int
-    ) -> Tuple[_GraphEntry, str]:
-        """Shared front half: route a validated spec, acquire a tracked entry.
-
-        The spec carries its validation from construction time, so the
-        only checks left are service-level (open, fast-path-runnable)
-        -- they raise before any state changes.  The returned entry
-        carries ``slots`` tracked slots: the caller owns matching
-        ``untrack`` calls on its failure paths, and ``_resolve``
-        performs it on the success path.
-        """
-        if self._closed:
-            raise ServiceClosed()
-        self._require_loop()
-        if spec.scenario is not None:
-            raise ConfigurationError(
-                f"scenario {spec.scenario!r} runs on the reference engines; "
-                f"use FloodSession.run/aquery (the service serves the fast "
-                f"path)"
-            )
-        entry = await self._entry_async(spec.graph, slots)
-        try:
-            chosen = self._router.resolve(entry.index, spec.backend, spec.variant)
-        except BaseException:
-            entry.untrack(slots)
-            raise
-        return entry, chosen
-
     async def _admit(self, slots: int, on_full: Optional[str]) -> None:
         if self._closed:
-            # A caller can suspend in _prepare's pool warm-up and
-            # resume after close(); admitting it would submit to a
-            # reaped pool.  Refuse with the typed error instead.
+            # A caller can suspend in the pool warm-up and resume
+            # after close(); admitting it would submit to a reaped
+            # pool.  Refuse with the typed error instead.
             raise ServiceClosed()
         mode = self.on_full if on_full is None else on_full
         if mode not in _ON_FULL_MODES:
@@ -862,7 +775,7 @@ class FloodService:
         """Flush one batch to the execution backend (pool or serial).
 
         Called by the micro-batcher (event-loop callback) and by
-        ``query_batch_specs`` directly; never raises into the batcher --
+        ``_submit`` for an unwindowed call; never raises into its caller --
         failures resolve the request futures exceptionally instead.
         A submitted batch counts as in flight for the batcher's flush
         policy until ``_complete`` has distributed its outcome.

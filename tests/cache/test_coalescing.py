@@ -13,14 +13,39 @@ import asyncio
 import pytest
 
 from repro.api import FloodSpec, ResultCache
+from repro.fastpath import sweep_specs
 from repro.graphs import cycle_graph
-from repro.service import FloodService
+from repro.service import FloodService, QueueFull, ServiceClosed
 
 GRAPH = cycle_graph(41)
 
 
 def spec_for(*sources, **kwargs) -> FloodSpec:
     return FloodSpec(graph=GRAPH, sources=tuple(sources), **kwargs)
+
+
+def run_fields(run):
+    """Every field of an IndexedRun a caller can observe."""
+    return (
+        run.sources,
+        run.backend,
+        run.terminated,
+        run.termination_round,
+        run.total_messages,
+        run.round_edge_counts,
+        run.sender_ids,
+        run.receive_rounds_by_id,
+    )
+
+
+def submit(service, entry_point, spec):
+    """One spec through ``query_spec``, or as a one-spec batch."""
+    if entry_point == "query_spec":
+        return service.query_spec(spec)
+    return service.query_batch_specs([spec])
+
+
+ENTRY_POINTS = ["query_spec", "query_batch_specs"]
 
 
 class TestExactlyOnce:
@@ -81,22 +106,43 @@ class TestExactlyOnce:
         assert stats.cache_coalesced == 1  # the batch's position 0
         assert stats.batched_requests == 2  # sources (3,) once, (9,) once
 
-    def test_in_batch_duplicates_execute_once(self):
+    @pytest.mark.parametrize(
+        "specs, executions, stores",
+        [
+            ([spec_for(3), spec_for(5), spec_for(3), spec_for(3)], 2, 2),
+            # Refresh duplicates: one execution, one store.
+            ([spec_for(3, cache="refresh"), spec_for(3, cache="refresh")], 1, 1),
+            # Mixed policies: refresh and use positions ride one leader
+            # per key; the bypass position executes alone, unstored.
+            (
+                [
+                    spec_for(3),
+                    spec_for(3, cache="refresh"),
+                    spec_for(3, cache="bypass"),
+                    spec_for(5, cache="refresh"),
+                    spec_for(5),
+                ],
+                3,
+                2,
+            ),
+        ],
+        ids=["use", "refresh", "mixed"],
+    )
+    def test_in_batch_duplicates_execute_once(self, specs, executions, stores):
         async def main():
-            async with FloodService(
-                workers=0, cache=ResultCache()
-            ) as service:
-                runs = await service.query_batch_specs(
-                    [spec_for(3), spec_for(5), spec_for(3), spec_for(3)]
-                )
-                return runs, service.stats
+            cache = ResultCache()
+            async with FloodService(workers=0, cache=cache) as service:
+                runs = await service.query_batch_specs(specs)
+                return runs, service.stats, cache.stats()
 
-        runs, stats = asyncio.run(main())
-        assert stats.batched_requests == 2  # (3,) and (5,) only
-        assert stats.cache_coalesced == 2
-        assert [run.sources for run in runs] == [(3,), (5,), (3,), (3,)]
-        assert runs[0].round_edge_counts == runs[2].round_edge_counts
-        assert runs[0].round_edge_counts is not runs[2].round_edge_counts
+        runs, stats, cache_stats = asyncio.run(main())
+        assert stats.batched_requests == executions
+        assert stats.cache_coalesced == len(specs) - executions
+        assert cache_stats.stores == stores
+        for spec, run in zip(specs, runs):
+            assert run_fields(run) == run_fields(sweep_specs([spec])[0])
+        # Private copies: no position shares another's lists.
+        assert len({id(run.round_edge_counts) for run in runs}) == len(runs)
 
 
 class TestSecondWaveHitsTheCache:
@@ -227,6 +273,68 @@ class TestFailureAndCancellation:
         run, cache_stats = asyncio.run(main())
         assert run.terminated
         assert cache_stats.stores == 1  # the work still landed
+
+
+class TestAdmissionFailure:
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+    def test_rejected_leader_counts_only_the_rejection(
+        self, held_lane, entry_point
+    ):
+        async def main():
+            async with FloodService(
+                workers=0, cache=ResultCache(), max_pending=1
+            ) as service:
+                # A held blocker keeps the one admission slot taken.
+                blocker = asyncio.ensure_future(
+                    service.query_spec(spec_for(7, cache="bypass"))
+                )
+                await asyncio.sleep(0)
+                with pytest.raises(QueueFull):
+                    await submit(service, entry_point, spec_for(3))
+                held_lane.set()
+                await blocker
+                return service.stats
+
+        stats = asyncio.run(main())
+        assert stats.rejected == 1
+        assert stats.queries == 1  # the blocker alone
+        assert stats.cache_misses == 0  # the rejected leader never ran
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+    def test_leader_failing_admission_fails_its_joiners(
+        self, held_lane, entry_point
+    ):
+        async def main():
+            async with FloodService(
+                workers=0, cache=ResultCache(), max_pending=1, on_full="wait"
+            ) as service:
+                blocker = asyncio.ensure_future(
+                    service.query_spec(spec_for(7, cache="bypass"))
+                )
+                await asyncio.sleep(0)
+                leader = asyncio.ensure_future(
+                    submit(service, entry_point, spec_for(3))
+                )
+                await asyncio.sleep(0)
+                assert service.stats.waited == 1  # leader at the gate
+                joiner = asyncio.ensure_future(service.query_spec(spec_for(3)))
+                await asyncio.sleep(0)
+                assert service.stats.cache_coalesced == 1
+                # close() fails the gate's waiter; the joiner must fail
+                # with it rather than await a future nobody settles.
+                closing = asyncio.ensure_future(service.close())
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(leader, joiner, return_exceptions=True), 5
+                )
+                inflight = dict(service._inflight_results)
+                held_lane.set()
+                await closing
+                await blocker
+                return outcomes, inflight
+
+        outcomes, inflight = asyncio.run(main())
+        assert all(isinstance(outcome, ServiceClosed) for outcome in outcomes)
+        assert inflight == {}
 
 
 class TestUncachedServiceUnchanged:
