@@ -18,12 +18,17 @@
 #                 results pinned bit-identical to fresh execution,
 #                 fail-fast likewise), the coalescing subset (one
 #                 execution per in-flight key, counter attribution,
-#                 and a leader's failure settling its joiners,
-#                 fail-fast likewise), the scenario-equivalence subset
-#                 (every built-in scenario's fast path pinned
-#                 bit-identical to its set-based reference across
-#                 budgets, seed streams, worker counts and cache
-#                 hits) + the examples suite (the
+#                 a leader's failure settling its joiners, and a
+#                 failed store write settling its batch,
+#                 fail-fast likewise), the variant-equivalence subset
+#                 (thinning, loss and k-memory on the shared round
+#                 loop pinned bit-identical to their reference
+#                 engines, fail-fast likewise), the scenario-
+#                 equivalence subset (every built-in scenario's fast
+#                 path pinned bit-identical to its set-based
+#                 reference across budgets, seed streams, collection
+#                 flags, worker counts and cache hits) + the examples
+#                 suite (the
 #                 facade-based examples run whole per PR) + the
 #                 perfbench self-tests (its tracer fails loudly when
 #                 a repro name it instruments moves) + a traced
@@ -68,6 +73,7 @@ smoke:
 	$(PYTHON) -m pytest -x -q tests/fastpath/test_bitset_oracle.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_coalescing.py
+	$(PYTHON) -m pytest -x -q tests/variants/test_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
 	$(PYTHON) -m pytest -x -q perfbench/tests

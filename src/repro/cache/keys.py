@@ -44,7 +44,7 @@ from __future__ import annotations
 import pickle
 from typing import Optional, Tuple
 
-from repro.api.spec import FloodSpec
+from repro.api.spec import BACKEND_NAMES, FloodSpec
 from repro.cache.lru import ResultCache
 from repro.fastpath.engine import IndexedRun, raw_run_of, wrap_raw_run
 from repro.fastpath.indexed import IndexedGraph
@@ -61,8 +61,6 @@ resolves to a frontier engine on every tier.
 Entries written by another version decode to ``None`` (a miss), so a
 persistent store survives format evolution without a migration step.
 """
-
-_BACKEND_NAMES = ("pure", "numpy", "oracle")
 
 
 def result_cache_key(spec: FloodSpec, resolved_backend: str) -> str:
@@ -129,7 +127,7 @@ def decode_run(
     magic, version, backend, raw = payload
     if magic != CACHE_MAGIC or version != CACHE_FORMAT_VERSION:
         return None
-    if backend not in _BACKEND_NAMES:
+    if backend not in BACKEND_NAMES:
         return None
     checked = _validate_raw(raw)
     if checked is None:

@@ -4,7 +4,7 @@ The global state of amnesiac flooding is the set of directed arcs
 carrying ``M``.  This backend stores that set as *per-sender bitmasks*:
 ``masks[v]`` has bit ``k`` set iff ``v`` sends to its ``k``-th CSR
 neighbour this round, and ``active`` lists the senders with a non-empty
-mask.  One round is then
+mask.  One round of :func:`flood` is then
 
 1. for every set bit of every active sender, OR the arc's
    :attr:`~repro.fastpath.indexed.IndexedGraph.reverse_bit` into the
@@ -12,6 +12,13 @@ mask.  One round is then
 2. every touched receiver's next send-mask is
    ``full_mask & ~heard_mask`` -- "forward to the complement of the
    neighbours you heard from", Definition 1.1 verbatim.
+
+Step 2 is the *forward rule*, and it is the only thing the
+round-granular variants of :mod:`repro.fastpath.variants` change
+(thinning, ``k``-memory windows, dynamic topologies; multi-message
+runs one flood per payload): :func:`flood` is the one round loop, and
+:func:`run` seeds the sources' full masks and calls it with the
+inline amnesiac rule (``forward=None``).
 
 Decoding a send-mask into ``(receiver, reverse_bit)`` pairs is memoised
 per ``(node, mask)``: flooding reuses a handful of masks per node (the
@@ -21,6 +28,8 @@ per-message work collapses to an iterate-and-OR over a cached tuple.
 The memo lives on the :class:`IndexedGraph` (amortised across runs and
 sweeps) and is capped per node so adversarial mask sequences cannot
 balloon it; uncached masks decode through a 256-entry byte table.
+The thinned and windowed forward rules, whose masks rarely recur,
+decode afresh instead (``flood(..., memoise=False)``).
 
 Everything in the hot loop is small-int arithmetic on two reused
 length-``n`` lists -- no tuple hashing, no set churn, no per-round
@@ -30,7 +39,8 @@ O(messages + receivers).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fastpath.indexed import IndexedGraph
 
@@ -41,6 +51,9 @@ _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
 
 _SendList = Tuple[Tuple[int, int], ...]
 
+_NO_MEMO: Mapping[int, _SendList] = MappingProxyType({})
+"""The always-empty memo every node shares when a flood decodes afresh."""
+
 RawRun = Tuple[
     bool,  # terminated within budget
     List[int],  # per-round directed-message counts (round 1 first)
@@ -48,6 +61,9 @@ RawRun = Tuple[
     Optional[List[List[int]]],  # per-round sender ids (None when not collected)
     Optional[List[List[int]]],  # per-node-id ascending receive rounds
 ]
+
+Forward = Callable[[List[int], List[int], List[int], int], List[int]]
+"""A forward rule: ``(touched, heard, masks, round_number) -> next_active``."""
 
 
 def _decoders(index: IndexedGraph) -> List[Dict[int, _SendList]]:
@@ -74,6 +90,19 @@ def _decode(index: IndexedGraph, sender: int, mask: int) -> _SendList:
     return tuple(pairs)
 
 
+def _memo_decode(
+    index: IndexedGraph, decoder: Dict[int, _SendList], sender: int, mask: int
+) -> _SendList:
+    """Decode a memo miss, caching it while the node's memo is under its cap."""
+    send_list = _decode(index, sender, mask)
+    # Flooding shows each node only ~degree distinct masks; cap the memo
+    # so pathological mask sequences (arc-mask configuration sweeps)
+    # cannot balloon it.
+    if len(decoder) <= 2 * (index.offsets[sender + 1] - index.offsets[sender]) + 16:
+        decoder[mask] = send_list
+    return send_list
+
+
 def run(
     index: IndexedGraph,
     source_ids: Sequence[int],
@@ -83,18 +112,46 @@ def run(
 ) -> RawRun:
     """Run amnesiac flooding from ``source_ids`` under a round budget."""
     full_masks = index.full_masks
-    offsets = index.offsets
-    decoders = _decoders(index)
-    n = index.n
-
-    masks = [0] * n
-    heard = [0] * n
+    masks = [0] * index.n
     active: List[int] = []
     for source in source_ids:
         if full_masks[source]:
             masks[source] = full_masks[source]
             active.append(source)
+    return flood(index, masks, active, budget, None, collect_senders, collect_receives)
 
+
+def flood(
+    index: IndexedGraph,
+    masks: List[int],
+    active: List[int],
+    budget: int,
+    forward: Optional[Forward],
+    collect_senders: bool,
+    collect_receives: bool,
+    memoise: bool = True,
+) -> RawRun:
+    """Deliver and forward the seeded frontier until it empties or the budget cuts.
+
+    ``masks``/``active`` are the round-1 send-masks and their senders;
+    both are consumed.  Each round delivers every active mask into the
+    receivers' heard-masks, then hands the touched receivers to
+    ``forward`` (``forward(touched, heard, masks, round_number)``), which
+    must clear their ``heard`` entries, write the next send-masks and
+    return the next senders.  ``None`` is the amnesiac complement rule,
+    applied inline so the plain path pays no per-round call.
+
+    ``memoise=False`` decodes every send-mask afresh instead of through
+    the index's memo.  Rules whose masks are drawn or windowed pass it:
+    their masks rarely recur, stored they would fill the per-node cap
+    ahead of the amnesiac masks, and building the memo costs a fresh
+    pool worker a garbage-collection pass over its inherited heap.
+    """
+    full_masks = index.full_masks
+    n = index.n
+    decoders = _decoders(index) if memoise else [_NO_MEMO] * n
+
+    heard = [0] * n
     round_counts: List[int] = []
     sender_rounds: Optional[List[List[int]]] = [] if collect_senders else None
     receives: Optional[List[List[int]]] = (
@@ -117,12 +174,10 @@ def run(
             decoder = decoders[sender]
             send_list = decoder.get(mask)
             if send_list is None:
-                send_list = _decode(index, sender, mask)
-                # Flooding shows each node only ~degree distinct masks;
-                # cap the memo so pathological mask sequences (arc-mask
-                # configuration sweeps) cannot balloon it.
-                if len(decoder) <= 2 * (offsets[sender + 1] - offsets[sender]) + 16:
-                    decoder[mask] = send_list
+                if memoise:
+                    send_list = _memo_decode(index, decoder, sender, mask)
+                else:
+                    send_list = _decode(index, sender, mask)
             count += len(send_list)
             for receiver, rbit in send_list:
                 heard_mask = heard[receiver]
@@ -137,14 +192,17 @@ def run(
             # Ascending ids, matching the numpy and oracle backends, so
             # raw sender lists are comparable across backends.
             sender_rounds.append(sorted(active))
-        next_active: List[int] = []
-        for receiver in touched:
-            next_mask = full_masks[receiver] & ~heard[receiver]
-            heard[receiver] = 0
-            if next_mask:
-                masks[receiver] = next_mask
-                next_active.append(receiver)
-        active = next_active
+        if forward is not None:
+            active = forward(touched, heard, masks, round_number)
+        else:
+            next_active: List[int] = []
+            for receiver in touched:
+                next_mask = full_masks[receiver] & ~heard[receiver]
+                heard[receiver] = 0
+                if next_mask:
+                    masks[receiver] = next_mask
+                    next_active.append(receiver)
+            active = next_active
         round_number += 1
 
     return terminated, round_counts, total, sender_rounds, receives

@@ -12,6 +12,25 @@ through :mod:`repro.service` and keys the result cache, all as plain
 :class:`VariantSpec` requests.  The set-based engines stay in the tree
 as the pinned references the equivalence matrix checks against.
 
+Steppers
+--------
+The round-granular variants run on the one round loop,
+:func:`repro.fastpath.pure_backend.flood`, and differ only in their
+seeding and their *forward rule* -- what a receiver sends next, given
+the arcs it heard from this round:
+
+* ``thinning`` / ``loss``: the complement, thinned by the next round's
+  survival draws;
+* ``kmemory``: the complement of the last ``k`` rounds' heard-masks;
+* ``dynamic``: the complement, masked by the next round's live arcs;
+* ``multi_message``: the plain complement, one flood per payload,
+  folded into one record.
+
+Two steppers keep their own clocks and so their own loops:
+``periodic`` ticks through its injection phase even when nothing is in
+flight, and ``random_delay`` is step-granular, with held arcs carried
+across steps.
+
 Randomness
 ----------
 Stochastic steppers draw nothing sequentially.  Every keep/drop
@@ -61,11 +80,19 @@ the worker pool call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fastpath.indexed import IndexedGraph
-from repro.fastpath.pure_backend import _BYTE_BITS, _decode, _decoders
+from repro.fastpath.pure_backend import (
+    _BYTE_BITS,
+    Forward,
+    _decode,
+    _decoders,
+    _memo_decode,
+    flood,
+)
 from repro.fastpath.schedule import ArcSchedule
 from repro.graphs.graph import Graph, Node
 from repro.rng import (
@@ -85,14 +112,6 @@ DELAY = "random_delay"
 DYNAMIC = "dynamic"
 
 VARIANT_KINDS = (THINNING, LOSS, KMEMORY, PERIODIC, MULTI, DELAY, DYNAMIC)
-
-try:
-    _popcount = int.bit_count  # Python >= 3.10
-except AttributeError:  # pragma: no cover - Python 3.9
-
-    def _popcount(value: int) -> int:
-        return bin(value).count("1")
-
 
 VariantRawRun = Tuple[
     bool,  # terminated within budget
@@ -318,84 +337,62 @@ def run_variant(
     the deterministic kinds (``kmemory``, ``periodic``,
     ``multi_message``, ``dynamic``).
     """
-    if spec.kind == KMEMORY:
-        return _run_kmemory(
-            index, source_ids, budget, spec.k, collect_senders, collect_receives
-        )
-    if spec.kind == PERIODIC:
-        return _run_periodic(
-            index,
-            source_ids,
-            budget,
-            spec.period,
-            spec.injections,
-            collect_senders,
-            collect_receives,
-        )
-    if spec.kind == MULTI:
-        return _run_multi(
-            index, source_ids, budget, collect_senders, collect_receives
-        )
-    if spec.kind == DELAY:
-        return _run_delay(
-            index,
-            source_ids,
-            budget,
-            spec.probability,
-            run_key,
-            collect_senders,
-            collect_receives,
-        )
-    if spec.kind == DYNAMIC:
-        return _run_dynamic(
-            index,
-            source_ids,
-            budget,
-            spec.schedule,
-            collect_senders,
-            collect_receives,
-        )
-    return _run_stochastic(
-        index,
-        source_ids,
-        budget,
-        spec.probability,
-        run_key,
-        collect_senders,
-        collect_receives,
+    return _STEPPERS[spec.kind](
+        index, source_ids, budget, spec, run_key, collect_senders, collect_receives
     )
+
+
+def _reached(n: int, source_ids: Sequence[int]) -> bytearray:
+    """A fresh reached-flag array with the sources marked."""
+    reached = bytearray(n)
+    for source in source_ids:
+        reached[source] = 1
+    return reached
+
+
+def _amnesiac_forward(full_masks: List[int], reached: bytearray) -> Forward:
+    """The complement rule of Definition 1.1, marking receivers reached."""
+
+    def forward(
+        touched: List[int], heard: List[int], masks: List[int], round_number: int
+    ) -> List[int]:
+        next_active: List[int] = []
+        for receiver in touched:
+            reached[receiver] = 1
+            send = full_masks[receiver] & ~heard[receiver]
+            heard[receiver] = 0
+            if send:
+                masks[receiver] = send
+                next_active.append(receiver)
+        return next_active
+
+    return forward
 
 
 def _run_stochastic(
     index: IndexedGraph,
     source_ids: Sequence[int],
     budget: int,
-    probability: float,
+    spec: VariantSpec,
     run_key: int,
     collect_senders: bool,
     collect_receives: bool,
 ) -> VariantRawRun:
     """Survival-thinned amnesiac flooding (thinning and loss variants).
 
-    The loop is :func:`repro.fastpath.pure_backend.run` with one
-    insertion: every send-mask is thinned through the counter-based
-    draws before it enters the frontier, so the arcs that exist in
-    round ``r`` are exactly the messages *delivered* in round ``r``
-    (the complement rule and the statistics then see only survivors,
-    matching the reference fault model).
+    Forward rule: the complement of the heard-mask, thinned through the
+    counter-based draws of the *next* round before it enters the
+    frontier (the sources' full masks are thinned by round 1's draws),
+    so the arcs that exist in round ``r`` are exactly the messages
+    *delivered* in round ``r`` -- the complement rule and the
+    statistics then see only survivors, matching the reference fault
+    model.
     """
     full_masks = index.full_masks
     offsets = index.offsets
-    n = index.n
-    threshold = survival_threshold(probability)
-
-    masks = [0] * n
-    heard = [0] * n
-    reached = bytearray(n)
-    reached_count = len(source_ids)
-    for source in source_ids:
-        reached[source] = 1
-
+    threshold = survival_threshold(spec.probability)
+    reached = _reached(index.n, source_ids)
+    masks = [0] * index.n
     active: List[int] = []
     rkey = round_key(run_key, 1)
     for source in source_ids:
@@ -404,42 +401,13 @@ def _run_stochastic(
             masks[source] = thinned
             active.append(source)
 
-    round_counts: List[int] = []
-    sender_rounds: Optional[List[List[int]]] = [] if collect_senders else None
-    receives: Optional[List[List[int]]] = (
-        [[] for _ in range(n)] if collect_receives else None
-    )
-    total = 0
-    terminated = True
-    round_number = 1
-
-    while active:
-        if round_number > budget:
-            terminated = False
-            break
-        count = 0
-        touched: List[int] = []
-        touch = touched.append
-        for sender in active:
-            mask = masks[sender]
-            masks[sender] = 0
-            count += _popcount(mask)
-            for receiver, rbit in _decode(index, sender, mask):
-                if not heard[receiver]:
-                    touch(receiver)
-                    if not reached[receiver]:
-                        reached[receiver] = 1
-                        reached_count += 1
-                    if receives is not None:
-                        receives[receiver].append(round_number)
-                heard[receiver] = heard[receiver] | rbit
-        round_counts.append(count)
-        total += count
-        if sender_rounds is not None:
-            sender_rounds.append(sorted(active))
+    def forward(
+        touched: List[int], heard: List[int], masks: List[int], round_number: int
+    ) -> List[int]:
         rkey = round_key(run_key, round_number + 1)
         next_active: List[int] = []
         for receiver in touched:
+            reached[receiver] = 1
             send = full_masks[receiver] & ~heard[receiver]
             heard[receiver] = 0
             if send:
@@ -447,17 +415,19 @@ def _run_stochastic(
                 if send:
                     masks[receiver] = send
                     next_active.append(receiver)
-        active = next_active
-        round_number += 1
+        return next_active
 
-    return (
-        terminated,
-        round_counts,
-        total,
-        sender_rounds,
-        receives,
-        reached_count,
+    raw = flood(
+        index,
+        masks,
+        active,
+        budget,
+        forward,
+        collect_senders,
+        collect_receives,
+        memoise=False,
     )
+    return raw + (reached.count(1),)
 
 
 def _thin_mask(base: int, mask: int, rkey: int, threshold: int) -> int:
@@ -480,108 +450,69 @@ def _run_kmemory(
     index: IndexedGraph,
     source_ids: Sequence[int],
     budget: int,
-    k: int,
+    spec: VariantSpec,
+    run_key: int,
     collect_senders: bool,
     collect_receives: bool,
 ) -> VariantRawRun:
     """``k``-memory flooding on per-node heard-mask windows.
 
-    A receiver's next send-mask is the complement of the *union* of its
+    Forward rule: the complement of the *union* of the receiver's
     heard-masks over the last ``k`` rounds (``k = 1`` keeps only the
     current round -- amnesiac flooding, bit-identical to the pure
     backend; ``k = 0`` forgets even that and ping-pongs until the
     budget cuts it off).  Windows live in a sparse dict keyed by node
     id -- only nodes with history in range pay for it.
     """
+    k = spec.k
     full_masks = index.full_masks
-    n = index.n
-
-    masks = [0] * n
-    heard = [0] * n
+    reached = _reached(index.n, source_ids)
+    masks = [0] * index.n
+    active = [source for source in source_ids if full_masks[source]]
+    for source in active:
+        masks[source] = full_masks[source]
     windows: Dict[int, List[Tuple[int, int]]] = {}
-    reached = bytearray(n)
-    reached_count = len(source_ids)
 
-    active: List[int] = []
-    for source in source_ids:
-        reached[source] = 1
-        if full_masks[source]:
-            masks[source] = full_masks[source]
-            active.append(source)
-
-    round_counts: List[int] = []
-    sender_rounds: Optional[List[List[int]]] = [] if collect_senders else None
-    receives: Optional[List[List[int]]] = (
-        [[] for _ in range(n)] if collect_receives else None
-    )
-    total = 0
-    terminated = True
-    round_number = 1
-
-    while active:
-        if round_number > budget:
-            terminated = False
-            break
-        count = 0
-        touched: List[int] = []
-        touch = touched.append
-        for sender in active:
-            mask = masks[sender]
-            masks[sender] = 0
-            count += _popcount(mask)
-            for receiver, rbit in _decode(index, sender, mask):
-                if not heard[receiver]:
-                    touch(receiver)
-                    if not reached[receiver]:
-                        reached[receiver] = 1
-                        reached_count += 1
-                    if receives is not None:
-                        receives[receiver].append(round_number)
-                heard[receiver] = heard[receiver] | rbit
-        round_counts.append(count)
-        total += count
-        if sender_rounds is not None:
-            sender_rounds.append(sorted(active))
+    def forward(
+        touched: List[int], heard: List[int], masks: List[int], round_number: int
+    ) -> List[int]:
         next_active: List[int] = []
         for receiver in touched:
-            heard_mask = heard[receiver]
-            heard[receiver] = 0
-            if k == 0:
-                avoid = 0
-            elif k == 1:
-                avoid = heard_mask
-            else:
+            reached[receiver] = 1
+            avoid = 0
+            if k:
                 window = windows.setdefault(receiver, [])
-                window.append((round_number, heard_mask))
-                cutoff = round_number - k
-                while window and window[0][0] <= cutoff:
+                window.append((round_number, heard[receiver]))
+                while window[0][0] <= round_number - k:
                     window.pop(0)
-                avoid = 0
                 for _, remembered in window:
                     avoid |= remembered
+            heard[receiver] = 0
             send = full_masks[receiver] & ~avoid
             if send:
                 masks[receiver] = send
                 next_active.append(receiver)
-        active = next_active
-        round_number += 1
+        return next_active
 
-    return (
-        terminated,
-        round_counts,
-        total,
-        sender_rounds,
-        receives,
-        reached_count,
+    raw = flood(
+        index,
+        masks,
+        active,
+        budget,
+        _amnesiac_forward(full_masks, reached) if k == 1 else forward,
+        collect_senders,
+        collect_receives,
+        memoise=k == 1,
     )
+    return raw + (reached.count(1),)
 
 
 def _run_periodic(
     index: IndexedGraph,
     source_ids: Sequence[int],
     budget: int,
-    period: int,
-    injections: int,
+    spec: VariantSpec,
+    run_key: int,
     collect_senders: bool,
     collect_receives: bool,
 ) -> VariantRawRun:
@@ -599,7 +530,10 @@ def _run_periodic(
     still send, the core rule).  ``len(round_counts)`` equals the
     reference's ``total_rounds`` in all three outcomes (terminated,
     limit cycle, cut off); a limit cycle reports ``terminated=False``
-    exactly like the reference.
+    exactly like the reference.  It keeps its own round loop rather than
+    :func:`~repro.fastpath.pure_backend.flood`: the injection phase
+    ticks with nothing in flight, and the settle phase stops on a
+    repeated configuration.
     """
     if len(source_ids) != 1:
         raise ConfigurationError(
@@ -607,8 +541,8 @@ def _run_periodic(
             f"got {len(source_ids)} sources"
         )
     source = source_ids[0]
+    period, injections = spec.period, spec.injections
     full_masks = index.full_masks
-    offsets = index.offsets
     decoders = _decoders(index)
     n = index.n
 
@@ -620,8 +554,7 @@ def _run_periodic(
     receives: Optional[List[List[int]]] = (
         [[] for _ in range(n)] if collect_receives else None
     )
-    reached = bytearray(n)
-    reached[source] = 1
+    reached = _reached(n, source_ids)
     total = 0
 
     def step(round_number: int) -> None:
@@ -637,11 +570,7 @@ def _run_periodic(
             decoder = decoders[sender]
             send_list = decoder.get(mask)
             if send_list is None:
-                send_list = _decode(index, sender, mask)
-                # The pure backend's memo cap: flooding shows each node
-                # only ~degree distinct masks.
-                if len(decoder) <= 2 * (offsets[sender + 1] - offsets[sender]) + 16:
-                    decoder[mask] = send_list
+                send_list = _memo_decode(index, decoder, sender, mask)
             count += len(send_list)
             for receiver, rbit in send_list:
                 heard_mask = heard_l[receiver]
@@ -704,7 +633,7 @@ def _run_periodic(
         total,
         sender_rounds,
         receives,
-        sum(reached),
+        reached.count(1),
     )
 
 
@@ -712,15 +641,17 @@ def _run_multi(
     index: IndexedGraph,
     source_ids: Sequence[int],
     budget: int,
+    spec: VariantSpec,
+    run_key: int,
     collect_senders: bool,
     collect_receives: bool,
 ) -> VariantRawRun:
-    """Concurrent distinct-payload floods: independent masks, one fold.
+    """Concurrent distinct-payload floods: one plain flood per payload, one fold.
 
     Amnesia means payloads cannot interfere (the independence invariant
-    of :mod:`repro.variants.multi_message`), so the stepper runs one
-    plain pure-backend flood per source/payload and superimposes the
-    statistics: per-round counts add (payloads never collapse into one
+    of :mod:`repro.variants.multi_message`), so each source/payload runs
+    the amnesiac forward rule on its own masks and the statistics
+    superimpose: per-round counts add (payloads never collapse into one
     message -- they are distinct), senders and receive rounds union
     with per-round dedup, the run terminates when every payload does,
     and the combined length is the last round in which *any* payload
@@ -729,94 +660,41 @@ def _run_multi(
     payload per source.
     """
     full_masks = index.full_masks
-    offsets = index.offsets
-    decoders = _decoders(index)
     n = index.n
-
+    reached = _reached(n, source_ids)
+    forward = _amnesiac_forward(full_masks, reached)
     combined_counts: List[int] = []
-    sender_sets: Optional[List[Set[int]]] = [] if collect_senders else None
-    receive_sets: Optional[List[Set[int]]] = (
-        [set() for _ in range(n)] if collect_receives else None
-    )
-    reached = bytearray(n)
-    reached_count = 0
-    for source in source_ids:
-        if not reached[source]:
-            reached[source] = 1
-            reached_count += 1
+    sender_sets: List[Set[int]] = []
+    receive_sets: List[Set[int]] = [set() for _ in range(n)] if collect_receives else []
     total = 0
     terminated = True
 
     for source in source_ids:
         masks = [0] * n
-        heard = [0] * n
-        active: List[int] = []
-        if full_masks[source]:
-            masks[source] = full_masks[source]
-            active.append(source)
-        round_number = 1
-        while active:
-            if round_number > budget:
-                terminated = False
-                break
-            count = 0
-            touched: List[int] = []
-            touch = touched.append
-            for sender in active:
-                mask = masks[sender]
-                masks[sender] = 0
-                decoder = decoders[sender]
-                send_list = decoder.get(mask)
-                if send_list is None:
-                    send_list = _decode(index, sender, mask)
-                    if len(decoder) <= 2 * (offsets[sender + 1] - offsets[sender]) + 16:
-                        decoder[mask] = send_list
-                count += len(send_list)
-                for receiver, rbit in send_list:
-                    if not heard[receiver]:
-                        touch(receiver)
-                        if not reached[receiver]:
-                            reached[receiver] = 1
-                            reached_count += 1
-                        if receive_sets is not None:
-                            receive_sets[receiver].add(round_number)
-                    heard[receiver] = heard[receiver] | rbit
-            if round_number > len(combined_counts):
-                combined_counts.append(count)
-            else:
-                combined_counts[round_number - 1] += count
-            total += count
-            if sender_sets is not None:
-                while len(sender_sets) < round_number:
-                    sender_sets.append(set())
-                sender_sets[round_number - 1].update(active)
-            next_active: List[int] = []
-            for receiver in touched:
-                send = full_masks[receiver] & ~heard[receiver]
-                heard[receiver] = 0
-                if send:
-                    masks[receiver] = send
-                    next_active.append(receiver)
-            active = next_active
-            round_number += 1
+        masks[source] = full_masks[source]
+        active = [source] if full_masks[source] else []
+        done, counts, messages, senders, receives = flood(
+            index, masks, active, budget, forward, collect_senders, collect_receives
+        )
+        terminated = terminated and done
+        total += messages
+        combined_counts.extend([0] * (len(counts) - len(combined_counts)))
+        for position, count in enumerate(counts):
+            combined_counts[position] += count
+        for position, ids in enumerate(senders or ()):
+            if position == len(sender_sets):
+                sender_sets.append(set())
+            sender_sets[position].update(ids)
+        for node, rounds in enumerate(receives or ()):
+            receive_sets[node].update(rounds)
 
-    sender_rounds = (
-        [sorted(senders) for senders in sender_sets]
-        if sender_sets is not None
-        else None
-    )
-    receives = (
-        [sorted(rounds) for rounds in receive_sets]
-        if receive_sets is not None
-        else None
-    )
     return (
         terminated,
         combined_counts,
         total,
-        sender_rounds,
-        receives,
-        reached_count,
+        [sorted(ids) for ids in sender_sets] if collect_senders else None,
+        [sorted(rounds) for rounds in receive_sets] if collect_receives else None,
+        reached.count(1),
     )
 
 
@@ -824,7 +702,7 @@ def _run_delay(
     index: IndexedGraph,
     source_ids: Sequence[int],
     budget: int,
-    probability: float,
+    spec: VariantSpec,
     run_key: int,
     collect_senders: bool,
     collect_receives: bool,
@@ -844,12 +722,14 @@ def _run_delay(
     arcs by mask OR, exactly as the set union of
     :func:`~repro.asynchrony.configurations.apply_delivery`.
     ``round_counts`` holds per-*step* delivered-message counts, so
-    ``len(round_counts)`` is the async run's step count.
+    ``len(round_counts)`` is the async run's step count.  Held arcs
+    outlive the step, so this stepper keeps its own loop rather than
+    :func:`~repro.fastpath.pure_backend.flood`.
     """
     offsets = index.offsets
     full_masks = index.full_masks
     n = index.n
-    threshold = survival_threshold(probability)
+    threshold = survival_threshold(spec.probability)
 
     masks = [0] * n
     heard = [0] * n
@@ -914,8 +794,9 @@ def _run_delay(
         owners: List[int] = []
         for sender, delivered in deliveries:
             owners.append(sender)
-            count += _popcount(delivered)
-            for receiver, rbit in _decode(index, sender, delivered):
+            send_list = _decode(index, sender, delivered)
+            count += len(send_list)
+            for receiver, rbit in send_list:
                 if not heard[receiver]:
                     touch(receiver)
                     if not reached[receiver]:
@@ -963,7 +844,8 @@ def _run_dynamic(
     index: IndexedGraph,
     source_ids: Sequence[int],
     budget: int,
-    schedule: ArcSchedule,
+    spec: VariantSpec,
+    run_key: int,
     collect_senders: bool,
     collect_receives: bool,
 ) -> VariantRawRun:
@@ -981,6 +863,7 @@ def _run_dynamic(
     graph must share the superset's node set (ids then align, both
     being sorted-label orders).
     """
+    schedule = spec.schedule
     sindex = IndexedGraph.of(schedule.graph)
     if sindex.labels != index.labels:
         raise ConfigurationError(
@@ -988,11 +871,7 @@ def _run_dynamic(
             "node set (the superset graph adds edges, never nodes)"
         )
     full_masks = sindex.full_masks
-    soffsets = sindex.offsets
-    decoders = _decoders(sindex)
-    n = sindex.n
     mask_at = schedule.mask_at
-
     split_by_mask: Dict[int, List[int]] = {}
 
     def live(round_number: int) -> List[int]:
@@ -1003,79 +882,34 @@ def _run_dynamic(
             split_by_mask[gmask] = split
         return split
 
-    masks = [0] * n
-    heard = [0] * n
+    reached = _reached(sindex.n, source_ids)
+    masks = [0] * sindex.n
     active: List[int] = []
-    reached = bytearray(n)
-    reached_count = 0
     first_live = live(1)
     for source in source_ids:
-        if not reached[source]:
-            reached[source] = 1
-            reached_count += 1
         send = full_masks[source] & first_live[source]
         if send:
             masks[source] = send
             active.append(source)
 
-    round_counts: List[int] = []
-    sender_rounds: Optional[List[List[int]]] = [] if collect_senders else None
-    receives: Optional[List[List[int]]] = (
-        [[] for _ in range(n)] if collect_receives else None
-    )
-    total = 0
-    terminated = True
-    round_number = 1
-
-    while active:
-        if round_number > budget:
-            terminated = False
-            break
-        count = 0
-        touched: List[int] = []
-        touch = touched.append
-        for sender in active:
-            mask = masks[sender]
-            masks[sender] = 0
-            decoder = decoders[sender]
-            send_list = decoder.get(mask)
-            if send_list is None:
-                send_list = _decode(sindex, sender, mask)
-                if len(decoder) <= 2 * (soffsets[sender + 1] - soffsets[sender]) + 16:
-                    decoder[mask] = send_list
-            count += len(send_list)
-            for receiver, rbit in send_list:
-                if not heard[receiver]:
-                    touch(receiver)
-                    if not reached[receiver]:
-                        reached[receiver] = 1
-                        reached_count += 1
-                    if receives is not None:
-                        receives[receiver].append(round_number)
-                heard[receiver] = heard[receiver] | rbit
-        round_counts.append(count)
-        total += count
-        if sender_rounds is not None:
-            sender_rounds.append(sorted(active))
+    def forward(
+        touched: List[int], heard: List[int], masks: List[int], round_number: int
+    ) -> List[int]:
         next_live = live(round_number + 1)
         next_active: List[int] = []
         for receiver in touched:
+            reached[receiver] = 1
             send = full_masks[receiver] & ~heard[receiver] & next_live[receiver]
             heard[receiver] = 0
             if send:
                 masks[receiver] = send
                 next_active.append(receiver)
-        active = next_active
-        round_number += 1
+        return next_active
 
-    return (
-        terminated,
-        round_counts,
-        total,
-        sender_rounds,
-        receives,
-        reached_count,
+    raw = flood(
+        sindex, masks, active, budget, forward, collect_senders, collect_receives
     )
+    return raw + (reached.count(1),)
 
 
 def _split_mask(index: IndexedGraph, gmask: int) -> List[int]:
@@ -1100,6 +934,20 @@ def _split_mask(index: IndexedGraph, gmask: int) -> List[int]:
                 node += 1
             out[node] |= 1 << (slot - offsets[node])
     return out
+
+
+_STEPPERS = MappingProxyType(
+    {
+        THINNING: _run_stochastic,
+        LOSS: _run_stochastic,
+        KMEMORY: _run_kmemory,
+        PERIODIC: _run_periodic,
+        MULTI: _run_multi,
+        DELAY: _run_delay,
+        DYNAMIC: _run_dynamic,
+    }
+)
+"""The stepper of each variant kind (``run_variant``'s dispatch)."""
 
 
 # ----------------------------------------------------------------------

@@ -856,17 +856,20 @@ class FloodService:
         Cache-leader pendings settle *first*, and regardless of the
         caller future's state: a leader that cancelled or timed out
         still encodes, stores and hands its result to every joiner --
-        the work completed either way.
+        the work completed either way.  A leader whose store write
+        fails gets the store's exception, and so do its joiners; the
+        batch's other requests settle as if nothing happened.
         """
         for position, request in enumerate(requests):
+            failure = exc
             if request.pending is not None:
-                self._settle_pending(
+                failure = self._settle_pending(
                     request, runs[position] if runs is not None else None, exc
                 )
             if request.future.done():  # caller cancelled; result dropped
                 continue
-            if exc is not None:
-                request.future.set_exception(exc)
+            if failure is not None:
+                request.future.set_exception(failure)
             else:
                 assert runs is not None
                 request.future.set_result(runs[position])
@@ -878,24 +881,32 @@ class FloodService:
         request: _Request,
         run: Optional[IndexedRun],
         exc: Optional[BaseException],
-    ) -> None:
-        """Store a leader's fresh result and resolve its in-flight future."""
+    ) -> Optional[BaseException]:
+        """Store a leader's fresh result and resolve its in-flight future.
+
+        Returns the failure the leader's caller gets: ``exc``, or the
+        exception the result cache raised while storing, else ``None``.
+        """
         cache_key = request.cache_key
         pending = request.pending
         assert cache_key is not None and pending is not None
         if self._inflight_results.get(cache_key) is pending:
             del self._inflight_results[cache_key]
-        if exc is not None:
-            if not pending.done():
-                pending.set_exception(exc)
-                _consume_outcome(pending)
-            return
-        assert run is not None
-        blob = encode_run(run)
-        assert self._results is not None
-        self._results.put(cache_key, blob)
+        if exc is None:
+            assert run is not None and self._results is not None
+            blob = encode_run(run)
+            try:
+                self._results.put(cache_key, blob)
+            except Exception as store_exc:  # e.g. the persistent store's OSError
+                exc = store_exc
+            else:
+                if not pending.done():
+                    pending.set_result(blob)
+                return None
         if not pending.done():
-            pending.set_result(blob)
+            pending.set_exception(exc)
+            _consume_outcome(pending)
+        return exc
 
     async def _await_result(self, future: Any, timeout: Any) -> Any:
         seconds = self.default_timeout if timeout is _UNSET else timeout

@@ -275,6 +275,46 @@ class TestFailureAndCancellation:
         assert cache_stats.stores == 1  # the work still landed
 
 
+class FailingStore:
+    """A persistent tier whose every write fails like a full disk."""
+
+    def load(self, key):
+        return None
+
+    def save(self, key, blob):
+        raise OSError("no space left on the store")
+
+    def delete(self, key):
+        pass
+
+
+class TestStoreFailure:
+    @pytest.mark.parametrize(
+        "sources",
+        [((3,), (3,)), ((3,), (5,))],
+        ids=["leader-and-joiner", "two-leaders"],
+    )
+    def test_failed_store_write_fails_the_requests_and_frees_the_slots(
+        self, sources
+    ):
+        async def main():
+            cache = ResultCache(store=FailingStore())
+            async with FloodService(workers=0, cache=cache) as service:
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(service.query_spec(spec_for(*s)) for s in sources),
+                        return_exceptions=True,
+                    ),
+                    5,
+                )
+                return outcomes, service.pending, dict(service._inflight_results)
+
+        outcomes, pending, inflight = asyncio.run(main())
+        assert all(isinstance(outcome, OSError) for outcome in outcomes)
+        assert pending == 0
+        assert inflight == {}
+
+
 class TestAdmissionFailure:
     @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
     def test_rejected_leader_counts_only_the_rejection(

@@ -168,11 +168,27 @@ class TestKMemoryEquivalence:
     def test_k_one_is_amnesiac_flooding(self):
         graph = erdos_renyi(30, 0.15, seed=9, connected=True)
         source = graph.nodes()[0]
-        fast = fast_runs(graph, k_memory(1), trials=1)[0]
-        det = run_spec(FloodSpec(graph=graph, sources=(source,)))
+        fast = sweep(
+            graph,
+            [[source]],
+            variant=k_memory(1),
+            collect_senders=True,
+            collect_receives=True,
+        )[0]
+        det = run_spec(
+            FloodSpec(
+                graph=graph,
+                sources=(source,),
+                backend="pure",
+                collect_senders=True,
+                collect_receives=True,
+            )
+        )
         assert fast.termination_round == det.termination_round
         assert fast.total_messages == det.total_messages
         assert fast.round_edge_counts == det.round_edge_counts
+        assert fast.sender_sets() == det.sender_sets()
+        assert fast.receive_rounds() == det.receive_rounds()
 
     def test_k_zero_ping_pongs_until_budget(self):
         fast = fast_runs(path_graph(3), k_memory(0), trials=1, max_rounds=17)[0]

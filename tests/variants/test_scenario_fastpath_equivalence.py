@@ -174,6 +174,77 @@ class TestFastMatchesReference:
                     )
 
 
+class TestCollection:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_collection_changes_no_statistic(self, scenario, name):
+        """Collecting senders and receives is observation, never dynamics."""
+        graph = GRAPHS[name]
+        spec = build(matrix_scenario(scenario), graph, seed=5)
+        with FloodSession(workers=0) as session:
+            plain = session.run(spec)
+            collected = session.run(
+                spec.replace(collect_senders=True, collect_receives=True)
+            )
+        assert (
+            collected.terminated,
+            collected.termination_round,
+            collected.total_messages,
+            collected.round_edge_counts,
+            collected.reached_count,
+        ) == (
+            plain.terminated,
+            plain.termination_round,
+            plain.total_messages,
+            plain.round_edge_counts,
+            plain.reached_count,
+        )
+        assert len(collected.sender_sets()) == collected.termination_round
+        reached = set(spec.sources) | {
+            node for node, rounds in collected.receive_rounds().items() if rounds
+        }
+        # coverage() reads reached_count where the stepper counts it
+        # (every variant) and derives it from the receives otherwise.
+        n = graph.num_nodes
+        assert collected.coverage(n) == len(reached) / n
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_multi_message_collects_the_union_of_its_payloads(self, name):
+        """Per round, the senders of any payload; per node, every round
+        any payload reached it -- the fold of one plain flood per source."""
+        graph = GRAPHS[name]
+        spec = build("multi_message", graph).replace(
+            collect_senders=True, collect_receives=True
+        )
+        with FloodSession(workers=0) as session:
+            multi = session.run(spec)
+            singles = [
+                session.run(
+                    FloodSpec(
+                        graph=graph,
+                        sources=(source,),
+                        backend="pure",
+                        collect_senders=True,
+                        collect_receives=True,
+                    )
+                )
+                for source in spec.sources
+            ]
+        rounds = max(run.termination_round for run in singles)
+        assert multi.sender_sets() == [
+            frozenset().union(
+                *(run.sender_sets()[r] for run in singles if r < run.termination_round)
+            )
+            for r in range(rounds)
+        ]
+        assert multi.receive_rounds() == {
+            node: tuple(
+                sorted(set().union(*(run.receive_rounds()[node] for run in singles)))
+            )
+            for node in graph.nodes()
+        }
+
+
 class TestPoolDeterminism:
     def test_worker_counts_are_pure_scheduling(self):
         """The same scenario batch through pools of 1, 2 and 4 workers
