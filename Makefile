@@ -27,8 +27,12 @@
 #                 equivalence subset (every built-in scenario's fast
 #                 path pinned bit-identical to its set-based
 #                 reference across budgets, seed streams, collection
-#                 flags, worker counts and cache hits) + the examples
-#                 suite (the
+#                 flags, worker counts and cache hits), the spec-
+#                 contract and scenario-registry subset (every spec
+#                 field reaches the digest or is excluded by name;
+#                 every scenario binds to a variant or the plain
+#                 process, a pinned seed= winning), fail-fast
+#                 likewise + the examples suite (the
 #                 facade-based examples run whole per PR) + the
 #                 perfbench self-tests (its tracer fails loudly when
 #                 a repro name it instruments moves) + a traced
@@ -75,6 +79,7 @@ smoke:
 	$(PYTHON) -m pytest -x -q tests/cache/test_coalescing.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
+	$(PYTHON) -m pytest -x -q tests/api/test_spec_contracts.py tests/api/test_scenarios.py
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
 	$(PYTHON) -m pytest -x -q perfbench/tests
 	for workload in sweep_long sweep_dense serve_trickle serve_zipf; do \

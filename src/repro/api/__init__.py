@@ -10,13 +10,14 @@ service:
 * :class:`~repro.api.spec.BatchKey` -- the execution projection of a
   spec; the pool's task payload and the service's micro-batch key;
 * :class:`~repro.api.result.FloodResult` -- the unified answer shape
-  (fast-path runs and set-based scenario records alike);
+  (fast-path runs and set-based reference records alike);
 * :class:`~repro.api.session.FloodSession` -- ``run(spec)`` /
   ``sweep(specs)`` / ``await aquery(spec)``, planning serial, pooled or
   service execution from the spec alone;
 * the scenario registry (:mod:`repro.api.scenarios`,
   :meth:`FloodSpec.from_scenario`) -- ``"lossy:0.1"``, ``"kmemory:2"``,
-  ``"periodic:3,4"`` ... as nameable workloads.
+  ``"periodic:3,4"`` ... as nameable workloads, each bound to a variant
+  at construction, so a scenario spec is a plain variant spec.
 
 Every tier takes a spec: ``fastpath.run_spec`` / ``sweep_specs``,
 ``SweepPool.sweep_specs`` and ``FloodService.query_spec`` /

@@ -30,11 +30,12 @@ if TYPE_CHECKING:
 
 @dataclass
 class FloodResult:
-    """One flood's outcome, uniform across engine, pool, service and scenarios.
+    """One flood's outcome, uniform across engine, pool, service and references.
 
     ``backend`` is the engine that actually ran: a fast-path backend
     name (``"pure"`` / ``"numpy"`` / ``"oracle"``) or
-    ``"scenario:<name>"`` for the set-based scenario runners.
+    ``"reference:<name>"`` for the pinned set-based reference engines
+    (:func:`repro.api.scenarios.run_scenario`).
     ``termination_round`` counts executed rounds (delivery steps for
     the asynchronous ``random_delay`` scenario); ``round_edge_counts``
     is the per-round message count, round 1 first.  ``raw`` keeps the

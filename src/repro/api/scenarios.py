@@ -33,30 +33,17 @@ Built-in scenario grammar (``name`` or ``name:arg[,arg|key=value...]``)::
                                pair flips per round, frozen to an
                                arc-diff :class:`~repro.fastpath.schedule.ArcSchedule`
 
-:func:`register_scenario` adds new names (downstream scenario families
--- round-delayed amnesiac flooding, terminating-case variants -- plug
-in here without touching any tier).  Extensions whose dynamics have no
-arc-mask stepper yet may register a set-based ``runner``: their binder
-returns a canonical string instead of a variant, the string survives
-on ``FloodSpec.scenario``, and every tier routes those specs through
-:func:`run_scenario` -- the seam each built-in scenario used before it
-was ported.
+:func:`register_scenario` adds new names: a downstream scenario family
+-- round-delayed amnesiac flooding, terminating-case variants -- arrives
+as a :class:`~repro.fastpath.variants.VariantSpec` with an arc-mask
+stepper plus a binder here, and then runs on every tier unchanged.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Type,
-    TypeVar,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type, TypeVar
 
+from repro.api.spec import _integer_field
 from repro.errors import ConfigurationError
 from repro.fastpath.variants import (
     VariantSpec,
@@ -72,16 +59,14 @@ from repro.fastpath.variants import (
 if TYPE_CHECKING:
     from repro.api.result import FloodResult
     from repro.api.spec import FloodSpec
-    from repro.graphs.graph import Graph
 
-# A binder parses one scenario's arguments against the (mid-construction)
-# spec and returns ``(variant, canonical_string)``: at most one of the
-# two is non-None.  Every built-in binder returns a variant (or None,
-# None for the plain flood); only extensions without an arc-mask
-# stepper return a canonical string, paired with a set-based runner
-# executing their spec into a FloodResult.
-Binder = Callable[[List[str], Dict[str, str], "FloodSpec"],
-                  Tuple[Optional[VariantSpec], Optional[str]]]
+# A binder parses one scenario's arguments against the plain spec of
+# the request (canonical sources, resolved round budget, no variant)
+# and the caller's seed, and returns the variant the request runs --
+# or None for the plain deterministic flood.
+Binder = Callable[
+    [List[str], Dict[str, str], "FloodSpec", int], Optional[VariantSpec]
+]
 Runner = Callable[["FloodSpec"], "FloodResult"]
 
 _Scalar = TypeVar("_Scalar", int, float)
@@ -93,56 +78,24 @@ _Scalar = TypeVar("_Scalar", int, float)
 # worker-imported modules; this is the sanctioned registry exception.
 # repro-lint: disable=REP007 -- write-once scenario registry, populated at import/startup; identical in every process
 _BINDERS: Dict[str, Binder] = {}
-# repro-lint: disable=REP007 -- write-once scenario registry, populated at import/startup; identical in every process
-_RUNNERS: Dict[str, Runner] = {}
-# repro-lint: disable=REP007 -- write-once scenario registry, populated at import/startup; identical in every process
-_BUDGETS: Dict[str, Callable[["Graph"], int]] = {}
 # The pinned reference engines, keyed by *variant kind*: run_scenario
 # executes any variant-backed spec on the set-based engine it was
 # ported from, for the equivalence matrix and the reference=True door.
 # repro-lint: disable=REP007 -- write-once scenario registry, populated at import/startup; identical in every process
 _REFERENCES: Dict[str, Runner] = {}
-# repro-lint: disable=REP007 -- write-once scenario registry, populated at import/startup; identical in every process
-_SEEDED: Set[str] = {"thinning", "lossy", "random_delay", "dynamic"}
-"""Scenario names whose dynamics consume a seed."""
 
 
-def register_scenario(
-    name: str,
-    binder: Binder,
-    runner: Optional[Runner] = None,
-    default_budget: Optional[Callable[["Graph"], int]] = None,
-) -> None:
+def register_scenario(name: str, binder: Binder) -> None:
     """Register (or replace) a scenario name.
 
-    ``binder`` parses arguments into a variant or a canonical string;
-    ``runner`` is required for extension set-based scenarios (those
-    whose binder returns a canonical string; no built-in does) and
-    must accept a :class:`~repro.api.spec.FloodSpec` and return a
-    :class:`~repro.api.result.FloodResult`.  ``default_budget`` maps a
-    graph to the budget an unset ``max_rounds`` resolves to, for
-    set-based extensions whose natural budget unit is not synchronous
-    rounds; scenarios without one get
-    :func:`~repro.sync.engine.default_round_budget` (variant-backed
-    scenarios instead inherit their variant's budget rule,
-    :func:`~repro.fastpath.variants.variant_default_budget`).
+    ``binder(args, kwargs, plain_spec, seed)`` parses the string's
+    positional and ``key=value`` arguments into the
+    :class:`~repro.fastpath.variants.VariantSpec` the request runs, or
+    ``None`` for the plain deterministic flood.  The variant's budget
+    rule (:func:`~repro.fastpath.variants.variant_default_budget`)
+    resolves an unset ``max_rounds``.
     """
     _BINDERS[name] = binder
-    if runner is not None:
-        _RUNNERS[name] = runner
-    if default_budget is not None:
-        _BUDGETS[name] = default_budget
-
-
-def scenario_default_budget(canonical: str, graph: "Graph") -> int:
-    """The budget an unset ``max_rounds`` resolves to for a scenario."""
-    name, _, _ = _split(canonical)
-    budget = _BUDGETS.get(name)
-    if budget is not None:
-        return budget(graph)
-    from repro.sync.engine import default_round_budget
-
-    return default_round_budget(graph)
 
 
 def scenario_names() -> Tuple[str, ...]:
@@ -183,8 +136,11 @@ def _scalar(
         ) from None
 
 
-def _seed_of(kwargs: Dict[str, str], scenario: str) -> int:
-    return _scalar(kwargs.pop("seed", "0"), int, scenario, "seed")
+def _seed_of(kwargs: Dict[str, str], scenario: str, seed: int) -> int:
+    """The variant seed: a ``seed=`` written in the string beats ``seed``."""
+    if "seed" in kwargs:
+        return _scalar(kwargs.pop("seed"), int, scenario, "seed")
+    return _integer_field("seed", seed)
 
 
 def _reject_extras(
@@ -197,33 +153,14 @@ def _reject_extras(
         )
 
 
-def seeded_scenario(text: str, seed: int) -> str:
-    """Fold an explicit seed into a scenario string (``from_scenario``).
-
-    Seed-consuming scenarios get ``seed=N`` appended unless the string
-    already pins one; deterministic scenarios ignore the seed.
-    """
-    name, _, kwargs = _split(text)
-    if name not in _BINDERS:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; registered scenarios: "
-            f"{', '.join(scenario_names())}"
-        )
-    if seed and name in _SEEDED and "seed" not in kwargs:
-        separator = "," if ":" in text else ":"
-        return f"{text}{separator}seed={seed}"
-    return text
-
-
 def bind_scenario(
-    text: str, spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
-    """Resolve a scenario string against a spec under construction.
+    text: str, spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
+    """The variant a scenario string names, bound against ``spec``.
 
-    Called from ``FloodSpec.__post_init__``: ``spec`` has canonical
-    sources and a resolved budget by this point.  Returns ``(variant,
-    canonical)`` -- exactly one non-None, unless the scenario is the
-    plain deterministic flood (both None).
+    Called from :meth:`FloodSpec.from_scenario` with the request's
+    plain spec (canonical sources, resolved budget); ``None`` is the
+    plain deterministic flood.
     """
     name, args, kwargs = _split(text)
     binder = _BINDERS.get(name)
@@ -232,7 +169,7 @@ def bind_scenario(
             f"unknown scenario {name!r}; registered scenarios: "
             f"{', '.join(scenario_names())}"
         )
-    return binder(args, kwargs, spec)
+    return binder(args, kwargs, spec, seed)
 
 
 def run_scenario(spec: "FloodSpec") -> "FloodResult":
@@ -241,23 +178,12 @@ def run_scenario(spec: "FloodSpec") -> "FloodResult":
     The second opinion behind ``FloodSession.run(spec,
     reference=True)``: variant-backed specs (including every built-in
     scenario after canonicalisation) run on the set-based engine their
-    stepper was ported from, plain deterministic specs run on
-    :func:`repro.core.amnesiac.simulate_reference`, and extension
-    specs still carrying a scenario string run their registered
-    set-based runner.  Results come back as
-    :class:`~repro.api.result.FloodResult` with
+    stepper was ported from, and plain deterministic specs run on
+    :func:`repro.core.amnesiac.simulate_reference`.  Results come back
+    as :class:`~repro.api.result.FloodResult` with
     ``backend="reference:<name>"`` and the engine-native record in
     ``raw``.
     """
-    if spec.scenario is not None:
-        name, _, _ = _split(spec.scenario)
-        runner = _RUNNERS.get(name)
-        if runner is None:
-            raise ConfigurationError(
-                f"scenario {name!r} carries a canonical string but no "
-                f"set-based runner; register_scenario() both or neither"
-            )
-        return runner(spec)
     if spec.variant is not None:
         reference = _REFERENCES.get(spec.variant.kind)
         if reference is None:
@@ -275,43 +201,43 @@ def run_scenario(spec: "FloodSpec") -> "FloodResult":
 
 
 def _bind_flood(
-    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
+    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
     _reject_extras(args, kwargs, "flood")
-    return None, None
+    return None
 
 
 def _bind_thinning(
-    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
+    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
     if len(args) != 1:
         raise ConfigurationError(
             "scenario 'thinning' takes exactly one argument: the forward "
             "probability (e.g. 'thinning:0.9')"
         )
     probability = _scalar(args[0], float, "thinning", "forward probability")
-    seed = _seed_of(kwargs, "thinning")
+    seed = _seed_of(kwargs, "thinning", seed)
     _reject_extras([], kwargs, "thinning")
-    return thinning(probability, seed=seed), None
+    return thinning(probability, seed=seed)
 
 
 def _bind_lossy(
-    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
+    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
     if len(args) != 1:
         raise ConfigurationError(
             "scenario 'lossy' takes exactly one argument: the loss rate "
             "(e.g. 'lossy:0.1')"
         )
     rate = _scalar(args[0], float, "lossy", "loss rate")
-    seed = _seed_of(kwargs, "lossy")
+    seed = _seed_of(kwargs, "lossy", seed)
     _reject_extras([], kwargs, "lossy")
-    return bernoulli_loss(rate, seed=seed), None
+    return bernoulli_loss(rate, seed=seed)
 
 
 def _bind_kmemory(
-    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
+    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
     if len(args) != 1:
         raise ConfigurationError(
             "scenario 'kmemory' takes exactly one argument: the memory "
@@ -319,12 +245,12 @@ def _bind_kmemory(
         )
     k = _scalar(args[0], int, "kmemory", "memory window k")
     _reject_extras([], kwargs, "kmemory")
-    return k_memory(k), None
+    return k_memory(k)
 
 
 def _bind_periodic(
-    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
+    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
     if not 1 <= len(args) <= 2:
         raise ConfigurationError(
             "scenario 'periodic' takes a period and an optional injection "
@@ -346,19 +272,19 @@ def _bind_periodic(
             f"scenario 'periodic' re-injects from a single source; "
             f"got {len(spec.sources)} sources"
         )
-    return periodic_injection(period, injections), None
+    return periodic_injection(period, injections)
 
 
 def _bind_multi_message(
-    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
+    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
     _reject_extras(args, kwargs, "multi_message")
-    return multi_message(), None
+    return multi_message()
 
 
 def _bind_random_delay(
-    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
+    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
     if len(args) != 1:
         raise ConfigurationError(
             "scenario 'random_delay' takes exactly one argument: the delay "
@@ -370,14 +296,14 @@ def _bind_random_delay(
             "scenario 'random_delay': delay probability must be in [0, 1) "
             "(p = 1 would hold every message forever)"
         )
-    seed = _seed_of(kwargs, "random_delay")
+    seed = _seed_of(kwargs, "random_delay", seed)
     _reject_extras([], kwargs, "random_delay")
-    return random_delay(probability, seed=seed), None
+    return random_delay(probability, seed=seed)
 
 
 def _bind_dynamic(
-    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec"
-) -> Tuple[Optional[VariantSpec], Optional[str]]:
+    args: List[str], kwargs: Dict[str, str], spec: "FloodSpec", seed: int
+) -> Optional[VariantSpec]:
     if len(args) != 1:
         raise ConfigurationError(
             "scenario 'dynamic' takes exactly one argument: the edge "
@@ -388,24 +314,15 @@ def _bind_dynamic(
         raise ConfigurationError(
             "scenario 'dynamic': edge flips per round must be >= 0"
         )
-    seed = _seed_of(kwargs, "dynamic")
+    seed = _seed_of(kwargs, "dynamic", seed)
     _reject_extras([], kwargs, "dynamic")
     from repro.variants.dynamic import EdgeFlipSchedule, export_arc_schedule
 
-    # Binding runs before budget resolution, but the frozen schedule's
-    # horizon must cover the run (round r forwards over the round-r+1
-    # topology), so replicate the budget rule here -- same error text
-    # as the resolver's.
-    if spec.max_rounds is None:
-        from repro.sync.engine import default_round_budget
-
-        budget = default_round_budget(spec.graph)
-    elif spec.max_rounds < 1:
-        raise ConfigurationError("max_rounds must be >= 1")
-    else:
-        budget = spec.max_rounds
+    # The frozen schedule's horizon must cover the run: round r
+    # forwards over the round-(r+1) topology.
+    assert spec.max_rounds is not None  # resolved on the plain spec
     schedule = EdgeFlipSchedule(spec.graph, flips, seed)
-    return dynamic_schedule(export_arc_schedule(schedule, budget + 1)), None
+    return dynamic_schedule(export_arc_schedule(schedule, spec.max_rounds + 1))
 
 
 # ----------------------------------------------------------------------

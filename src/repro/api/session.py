@@ -6,8 +6,8 @@ batch work, one :class:`~repro.service.FloodService` for async queries
 -- and plans each request from its spec alone:
 
 * :meth:`FloodSession.run` -- one spec, serially, on the fast-path
-  engine (every built-in scenario canonicalises to a variant or plain
-  spec); ``reference=True`` reruns the request on its pinned set-based
+  engine (every scenario string binds to a variant or the plain
+  process); ``reference=True`` reruns the request on its pinned set-based
   reference engine instead.
 * :meth:`FloodSession.sweep` -- many specs: grouped by execution shape
   (graph, budget, backend request, variant, collection flags), each
@@ -19,8 +19,7 @@ batch work, one :class:`~repro.service.FloodService` for async queries
   input order and bit-identical to the serial path.
 * :meth:`FloodSession.aquery` -- one spec, asynchronously: coalesced
   with concurrent callers through the service's spec-keyed
-  micro-batches (extension scenarios with set-based runners go to an
-  executor thread instead; they have no pool lane).
+  micro-batches.
 
 Every result comes back as a :class:`~repro.api.result.FloodResult`
 wrapping the tier-native record, so switching tiers never changes what
@@ -40,16 +39,14 @@ from repro.graphs.graph import Graph
 
 SERIAL = "serial"
 POOL = "pool"
-SCENARIO = "scenario"
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """Where a spec (or a spec group) will execute, and on what backend.
 
-    ``mode`` is ``"serial"``, ``"pool"`` or ``"scenario"``; ``backend``
-    is the resolved engine name (``"scenario:<name>"`` for set-based
-    scenarios); ``workers`` is the pool size for pooled plans (0
+    ``mode`` is ``"serial"`` or ``"pool"``; ``backend`` is the resolved
+    engine name; ``workers`` is the pool size for pooled plans (0
     otherwise).  Purely observational -- :meth:`FloodSession.plan`
     returns it so callers and tests can see routing decisions without
     running anything.
@@ -80,8 +77,8 @@ class FloodSession:
         results in input order, bit-identical to the uncached sweep),
         and the session's service shares the same cache, so
         :meth:`aquery` traffic warms synchronous calls and vice versa.
-        Reference runs and extension set-based scenarios always
-        execute (their engine-native records have no codec);
+        Reference runs always execute (their engine-native records
+        have no codec);
         ``spec.cache = "bypass" | "refresh"`` opts individual requests
         out.  :meth:`cache_stats` snapshots the counters.
 
@@ -151,9 +148,6 @@ class FloodSession:
         (:func:`~repro.fastpath.engine.resolve_backend`, which does not
         depend on the batch size) without running anything.
         """
-        if spec.scenario is not None:
-            name = spec.scenario.partition(":")[0]
-            return ExecutionPlan(mode=SCENARIO, backend=f"scenario:{name}")
         from repro.fastpath.engine import resolve_backend
 
         backend = resolve_backend(spec.index(), spec.backend, spec.variant)
@@ -170,18 +164,16 @@ class FloodSession:
     def run(self, spec: FloodSpec, *, reference: bool = False) -> FloodResult:
         """Execute one spec serially; the facade form of ``simulate``.
 
-        Every built-in scenario (and plain/variant spec) runs on the
-        arc-mask fast path with the one backend-resolution rule, so
-        the result is bit-identical to ``fastpath.run_spec`` of the
-        same request.  ``reference=True``
+        Every spec runs on the arc-mask fast path with the one
+        backend-resolution rule, so the result is bit-identical to
+        ``fastpath.run_spec`` of the same request.  ``reference=True``
         is the escape hatch onto the pinned set-based engines
         (:func:`repro.api.scenarios.run_scenario`) -- the second
         opinion the equivalence matrix compares against; reference
-        runs never touch the result cache.  Extension scenario specs
-        still carrying a canonical string route there unconditionally.
+        runs never touch the result cache.
         """
         self._require_open()
-        if reference or spec.scenario is not None:
+        if reference:
             from repro.api.scenarios import run_scenario
 
             return run_scenario(spec)
@@ -211,11 +203,9 @@ class FloodSession:
 
         Specs are grouped by execution shape (everything
         :class:`~repro.api.spec.BatchKey`-relevant plus the graph);
-        each fast-path group runs as one batch --
-        serially, or across this session's warm pool for that graph
-        when the batch and the machine justify one -- and each
-        extension set-based scenario spec runs on its registered
-        runner.  Grouping changes
+        each group runs as one batch -- serially, or across this
+        session's warm pool for that graph when the batch and the
+        machine justify one.  Grouping changes
         scheduling, never content: every group's results are
         bit-identical to the serial spec sweep, which is itself
         bit-identical to the kwargs ``sweep``/``parallel_sweep`` of the
@@ -245,16 +235,11 @@ class FloodSession:
             spec.max_rounds,
             spec.backend,
             spec.variant,
-            spec.scenario,
             spec.collect_senders,
             spec.collect_receives,
         )
 
     def _run_group(self, group: List[FloodSpec]) -> List[FloodResult]:
-        if group[0].scenario is not None:
-            from repro.api.scenarios import run_scenario
-
-            return [run_scenario(spec) for spec in group]
         if self._results is not None:
             runs = self._run_group_cached(group)
         else:
@@ -352,20 +337,14 @@ class FloodSession:
     ) -> FloodResult:
         """Execute one spec asynchronously, coalescing with other callers.
 
-        Fast-path specs ride the session's :class:`FloodService`: the
-        spec is the request, its :class:`~repro.api.spec.BatchKey` is
-        the micro-batch key, and the result is bit-identical to
-        :meth:`sweep` of ``[spec]`` and :meth:`run` of ``spec`` (the
-        service resolves backends with the same rule).  Extension
-        set-based scenario specs run on an executor thread.  ``timeout`` / ``on_full``
-        follow :meth:`repro.service.FloodService.query_spec`.
+        The spec rides the session's :class:`FloodService`: it is the
+        request, its :class:`~repro.api.spec.BatchKey` is the micro-batch
+        key, and the result is bit-identical to :meth:`sweep` of
+        ``[spec]`` and :meth:`run` of ``spec`` (the service resolves
+        backends with the same rule).  ``timeout`` / ``on_full`` follow
+        :meth:`repro.service.FloodService.query_spec`.
         """
         self._require_open()
-        if spec.scenario is not None:
-            from repro.api.scenarios import run_scenario
-
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(None, run_scenario, spec)
         service = self._ensure_service()
         from repro.service.service import _UNSET
 

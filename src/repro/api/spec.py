@@ -10,7 +10,7 @@ construction:
 
 * :class:`FloodSpec` -- graph + sources + round budget + backend +
   :class:`~repro.fastpath.variants.VariantSpec` + RNG stream position
-  + collection flags + optional scenario string.  It is frozen,
+  + collection flags.  It is frozen,
   hashable and picklable, so the same object rides from the caller
   through the micro-batcher, the pool task queue and the worker
   processes without translation.
@@ -69,9 +69,7 @@ transport *policy* -- how to treat the cache entry, never which entry
 the request names (see :data:`CACHE_MODES`); putting it in the digest
 would split identical results across three cache addresses."""
 
-BATCH_KEY_EXCLUDED = frozenset(
-    {"graph", "sources", "backend", "scenario", "stream"}
-)
+BATCH_KEY_EXCLUDED = frozenset({"graph", "sources", "backend", "stream"})
 """Digest-participating fields deliberately absent from :meth:`FloodSpec.batch_key`.
 
 Read by ``tests/api/test_spec_contracts.py``, which perturbs every
@@ -86,9 +84,6 @@ not change it).  The reasons:
 * ``backend`` -- reaches :class:`BatchKey` as the *resolved* backend
   parameter; the raw field still contains ``None`` (auto) after
   resolution decided.
-* ``scenario`` -- extension-scenario specs run on the reference
-  engines and are rejected by the batching service before any bucket
-  is chosen.
 * ``stream`` -- the per-request RNG position; requests on different
   streams batch together by design, each carrying its own
   ``run_key()`` into the pool."""
@@ -159,15 +154,8 @@ class FloodSpec:
     variant:
         Optional :class:`~repro.fastpath.variants.VariantSpec` running
         the stochastic/memory stepper instead of the deterministic
-        process.
-    scenario:
-        Scenario string input.  Every built-in scenario string is
-        canonicalised *into* ``variant`` at construction (so
-        ``FloodSpec(scenario="lossy:0.1", ...)`` equals
-        ``FloodSpec(variant=bernoulli_loss(0.1), ...)`` and the field
-        ends up ``None``); only extension scenarios registered with a
-        set-based runner keep their canonical string here and execute
-        through :func:`repro.api.scenarios.run_scenario`.
+        process.  Scenario strings (``"lossy:0.1"``) name one through
+        :meth:`from_scenario`.
     stream:
         The RNG stream position of this request within
         ``variant.seed`` (the run executes on
@@ -196,7 +184,6 @@ class FloodSpec:
     max_rounds: Optional[int] = None
     backend: Optional[str] = None
     variant: Optional[VariantSpec] = None
-    scenario: Optional[str] = None
     stream: int = 0
     collect_senders: bool = False
     collect_receives: bool = False
@@ -241,56 +228,25 @@ class FloodSpec:
             raise ConfigurationError(
                 f"variant must be a VariantSpec, got {type(self.variant).__name__}"
             )
-        # Scenario strings canonicalise here: variant-backed ones fold
-        # into the variant field, set-based ones normalise their string.
-        # Binding happens before budget resolution because a scenario
-        # may own its own default budget scale (random_delay counts
-        # sub-round async steps, floored well above the round budget).
-        if self.scenario is not None:
-            from repro.api.scenarios import bind_scenario
-
-            if self.variant is not None:
-                raise ConfigurationError(
-                    "scenario and variant are mutually exclusive; the "
-                    "scenario string already names the variant"
-                )
-            bound_variant, canonical_scenario = bind_scenario(self.scenario, self)
-            object.__setattr__(self, "variant", bound_variant)
-            object.__setattr__(self, "scenario", canonical_scenario)
         # Budget: resolve None once so equal requests carry equal keys.
         # Variants own their budget granularity (random_delay counts
-        # async steps); extension scenario strings may register one.
+        # async steps).
         if self.max_rounds is None:
-            if self.scenario is not None:
-                from repro.api.scenarios import scenario_default_budget
-
-                budget = scenario_default_budget(self.scenario, self.graph)
-            elif self.variant is not None:
+            if self.variant is not None:
                 from repro.fastpath.variants import variant_default_budget
 
                 budget = variant_default_budget(self.variant, self.graph)
             else:
                 budget = default_round_budget(self.graph)
             object.__setattr__(self, "max_rounds", budget)
-        if self.scenario is not None and self.backend is not None:
-            raise ConfigurationError(
-                f"scenario {self.scenario!r} runs on the reference engines; "
-                f"backend must be None"
-            )
         self._validate_backend()
         if self.cache not in CACHE_MODES:
             raise ConfigurationError(
                 f"cache must be one of {CACHE_MODES}, got {self.cache!r}"
             )
-        if (
-            self.stream
-            and self.scenario is None
-            and (self.variant is None or not self.variant.stochastic)
-        ):
+        if self.stream and (self.variant is None or not self.variant.stochastic):
             # Deterministic runs consume no randomness: canonicalise the
             # stream away so such specs batch (and hash) together.
-            # (Extension scenario strings keep theirs -- their runners
-            # may fold it into a trial key.)
             object.__setattr__(self, "stream", 0)
 
     def _validate_backend(self) -> None:
@@ -331,22 +287,29 @@ class FloodSpec:
         """Build a spec from a registry scenario string.
 
         ``scenario`` is ``"name"`` or ``"name:arg[,arg...]"`` -- see
-        :mod:`repro.api.scenarios` for the built-in names.  ``seed``
-        feeds the stochastic scenarios (it becomes the variant seed, or
-        folds into a set-based scenario's canonical string); the
-        deterministic ones ignore it.
+        :mod:`repro.api.scenarios` for the built-in names.  The string
+        binds to a :class:`~repro.fastpath.variants.VariantSpec` (or to
+        the plain process), so the result equals the hand-built spec.
+        ``seed`` becomes the variant seed of the stochastic scenarios
+        unless the string pins its own ``seed=``; the deterministic
+        ones ignore it.
         """
-        from repro.api.scenarios import seeded_scenario
+        from repro.api.scenarios import bind_scenario
 
-        return cls(
+        plain = cls(
             graph=graph,
             sources=tuple(sources),
             max_rounds=max_rounds,
-            scenario=seeded_scenario(scenario, seed),
             stream=stream,
             collect_senders=collect_senders,
             collect_receives=collect_receives,
         )
+        variant = bind_scenario(scenario, plain, seed)
+        if variant is None:
+            return plain
+        # The variant's own budget and stream rules apply to the unset
+        # budget and the stream the plain spec canonicalised away.
+        return plain.replace(variant=variant, max_rounds=max_rounds, stream=stream)
 
     def replace(self, **changes: object) -> "FloodSpec":
         """A copy with ``changes`` applied, re-validated at construction."""
@@ -400,7 +363,6 @@ class FloodSpec:
                 repr(self.max_rounds),
                 repr(self.backend),
                 repr(self.variant),
-                repr(self.scenario),
                 repr(self.stream),
                 repr(self.collect_senders),
                 repr(self.collect_receives),
@@ -414,7 +376,7 @@ class FloodSpec:
             f"sources={self.sources!r}",
             f"max_rounds={self.max_rounds}",
         ]
-        for name in ("backend", "variant", "scenario"):
+        for name in ("backend", "variant"):
             value = getattr(self, name)
             if value is not None:
                 parts.append(f"{name}={value!r}")

@@ -1,7 +1,7 @@
 """Content-addressed result caching for flood requests.
 
 The serving tiers answer many identical requests -- same graph, same
-sources, same scenario -- and :meth:`repro.api.spec.FloodSpec.digest`
+sources, same variant -- and :meth:`repro.api.spec.FloodSpec.digest`
 already names each request process-stably, so identical queries should
 never recompute.  This package is that tier:
 

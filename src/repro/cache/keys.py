@@ -52,11 +52,15 @@ from repro.fastpath.indexed import IndexedGraph
 CACHE_MAGIC = "repro-flood-cache"
 """Leading marker of every encoded payload; foreign blobs fail fast."""
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 """Bump on any change to the encoded payload shape or the key scheme.
 
 Version 2: ``FloodSpec.probe`` left the spec digest, and ``backend=None``
 resolves to a frontier engine on every tier.
+
+Version 3: the spec's ``scenario`` field left the digest payload
+(scenario strings bind to a variant in ``FloodSpec.from_scenario``), so
+every key changed.
 
 Entries written by another version decode to ``None`` (a miss), so a
 persistent store survives format evolution without a migration step.

@@ -141,12 +141,16 @@ class ResultCache:
             return None
 
     def put(self, key: str, blob: bytes) -> None:
-        """Insert (or overwrite) ``key`` and write through to the store."""
+        """Insert (or overwrite) ``key`` and write through to the store.
+
+        The store write comes first: a failing ``save`` raises before
+        the entry is admitted or counted.
+        """
         with self._lock:
-            self._admit(key, blob)
-            self.stores += 1
             if self.store is not None:
                 self.store.save(key, blob)
+            self._admit(key, blob)
+            self.stores += 1
 
     def note_corrupt(self, key: str) -> None:
         """Record that ``key``'s blob failed to decode; drop it everywhere.

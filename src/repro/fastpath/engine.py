@@ -391,14 +391,6 @@ def raw_run_of(run: IndexedRun) -> pure_backend.RawRun:
     return raw
 
 
-def _require_fastpath_spec(spec: FloodSpec) -> None:
-    if spec.scenario is not None:
-        raise ConfigurationError(
-            f"scenario {spec.scenario!r} runs on the reference engines; "
-            f"use FloodSession.run (the fast path has no stepper for it)"
-        )
-
-
 def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRun:
     """One flood from a validated :class:`FloodSpec`, serially.
 
@@ -409,7 +401,6 @@ def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRu
     ``spec.run_key()``.  Pass ``index`` to reuse a prebuilt
     :class:`IndexedGraph`.
     """
-    _require_fastpath_spec(spec)
     if index is None:
         index = spec.index()
     source_ids = index.resolve_sources(spec.sources)
@@ -532,9 +523,7 @@ def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
     :class:`BatchKey`.  Returns the lead spec.
     """
     head = specs[0]
-    _require_fastpath_spec(head)
     for spec in specs[1:]:
-        _require_fastpath_spec(spec)
         if (
             spec.graph != head.graph
             or spec.max_rounds != head.max_rounds

@@ -274,6 +274,8 @@ class Graph:
     # ------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return self._adj == other._adj

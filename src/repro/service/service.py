@@ -641,11 +641,6 @@ class FloodService:
         if self._closed:
             raise ServiceClosed()
         loop = self._require_loop()
-        if head.scenario is not None:
-            raise ConfigurationError(
-                f"scenario {head.scenario!r} runs on the reference engines; use "
-                "FloodSession.run/aquery (the service serves the fast path)"
-            )
         # Every position is tracked on the entry from here on, so
         # eviction cannot close its pool under them; each exit untracks.
         entry = await self._entry_async(head.graph, len(specs))

@@ -10,10 +10,10 @@ same records, same statistics, same budget rule.
 import pytest
 
 from repro.api import FloodSpec, scenario_names
-from repro.api.scenarios import register_scenario, run_scenario
-from repro.errors import ConfigurationError
+from repro.api import scenarios
+from repro.api.scenarios import run_scenario
 from repro.fastpath import bernoulli_loss, k_memory, thinning
-from repro.fastpath.variants import periodic_injection
+from repro.fastpath.variants import VariantSpec, periodic_injection
 from repro.graphs import cycle_graph, paper_triangle
 from repro.rng import derive_key
 from repro.variants import (
@@ -37,31 +37,35 @@ class TestRegistry:
             "dynamic",
         }
 
-    def test_custom_scenario_registers_and_runs(self):
-        def binder(args, kwargs, spec):
-            return None, "always_done"
 
-        def runner(spec):
-            from repro.api.result import FloodResult
+# One argument list per built-in scenario name.
+SCENARIO_ARGS = {
+    "flood": "",
+    "thinning": ":0.9",
+    "lossy": ":0.1",
+    "kmemory": ":2",
+    "periodic": ":3,4",
+    "multi_message": "",
+    "random_delay": ":0.3",
+    "dynamic": ":2",
+}
 
-            return FloodResult(
-                spec=spec,
-                backend="scenario:always_done",
-                terminated=True,
-                termination_round=0,
-                total_messages=0,
-                round_edge_counts=[],
-            )
 
-        register_scenario("always_done", binder, runner)
-        try:
-            spec = FloodSpec.from_scenario("always_done", GRAPH, [0])
-            assert run_scenario(spec).terminated
-        finally:
-            from repro.api import scenarios
-
-            scenarios._BINDERS.pop("always_done", None)
-            scenarios._RUNNERS.pop("always_done", None)
+@pytest.mark.parametrize("name", scenario_names())
+def test_binder_returns_a_variant_and_a_pinned_seed_wins(name):
+    text = name + SCENARIO_ARGS[name]
+    plain = FloodSpec(graph=GRAPH, sources=(0,))
+    variant = scenarios.bind_scenario(text, plain, 5)
+    assert variant is None or isinstance(variant, VariantSpec)
+    if variant == scenarios.bind_scenario(text, plain, 0):
+        # Seedless: the seed argument changes nothing.
+        assert FloodSpec.from_scenario(
+            text, GRAPH, [0], seed=5
+        ) == FloodSpec.from_scenario(text, GRAPH, [0])
+        return
+    pinned = FloodSpec.from_scenario(f"{text},seed=7", GRAPH, [0], seed=5)
+    assert pinned == FloodSpec.from_scenario(text, GRAPH, [0], seed=7)
+    assert pinned != FloodSpec.from_scenario(text, GRAPH, [0], seed=5)
 
 
 class TestVariantBackedScenarios:
@@ -71,7 +75,6 @@ class TestVariantBackedScenarios:
             graph=GRAPH, sources=(0,), variant=bernoulli_loss(0.1, seed=7)
         )
         assert by_string == by_hand
-        assert by_string.scenario is None
 
     def test_thinning_and_kmemory(self):
         assert FloodSpec.from_scenario(
@@ -102,7 +105,6 @@ class TestPortedScenarios:
 
     def test_periodic_reference_matches_legacy_engine(self):
         spec = FloodSpec.from_scenario("periodic:3,4", GRAPH, [0])
-        assert spec.scenario is None
         assert spec.variant == periodic_injection(3, 4)
         result = run_scenario(spec)
         reference = periodic_injection_flood(
@@ -201,39 +203,6 @@ class TestPortedScenarios:
         reference = run_scenario(spec)
         assert run.terminated == reference.terminated
         assert run.total_messages == reference.total_messages
-
-    def test_fast_path_refuses_extension_scenario_strings(self):
-        """Extensions without a stepper keep the run_scenario seam --
-        and every other tier keeps refusing their canonical strings."""
-        from repro.fastpath import run_spec
-
-        def binder(args, kwargs, spec):
-            return None, "setonly"
-
-        def runner(spec):
-            from repro.api.result import FloodResult
-
-            return FloodResult(
-                spec=spec,
-                backend="scenario:setonly",
-                terminated=True,
-                termination_round=0,
-                total_messages=0,
-                round_edge_counts=[],
-            )
-
-        register_scenario("setonly", binder, runner)
-        try:
-            spec = FloodSpec.from_scenario("setonly", GRAPH, [0])
-            assert spec.scenario == "setonly"
-            with pytest.raises(ConfigurationError, match="scenario"):
-                run_spec(spec)
-            assert run_scenario(spec).terminated
-        finally:
-            from repro.api import scenarios
-
-            scenarios._BINDERS.pop("setonly", None)
-            scenarios._RUNNERS.pop("setonly", None)
 
     def test_service_runs_ported_scenarios(self):
         import asyncio

@@ -159,7 +159,7 @@ class TestSweepAcrossTiers:
             FloodSpec(
                 graph=cycle, sources=(3,), variant=thinning(0.8, seed=1)
             ),
-            FloodSpec(graph=cycle, sources=(0,), scenario="periodic:3,4"),
+            FloodSpec.from_scenario("periodic:3,4", cycle, (0,)),
         ]
         with FloodSession(workers=0) as session:
             results = session.sweep(specs)
@@ -167,9 +167,7 @@ class TestSweepAcrossTiers:
         with FloodSession(workers=0) as session:
             singles = [session.run(spec) for spec in specs]
         for grouped, single in zip(results, singles):
-            if grouped.spec.scenario == "periodic:3,4":
-                assert grouped.raw == single.raw
-            elif grouped.spec.variant is None and grouped.spec.backend is None:
+            if grouped.spec.variant is None and grouped.spec.backend is None:
                 # Batch routing may legitimately pick a different engine
                 # than the single-run path; statistics stay identical.
                 assert grouped.termination_round == single.termination_round

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import BatchKey, FloodSpec
 from repro.errors import ConfigurationError, NodeNotFoundError
-from repro.fastpath import bernoulli_loss, k_memory, thinning
+from repro.fastpath import bernoulli_loss, thinning
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import cycle_graph, path_graph
 from repro.sync.engine import default_round_budget
@@ -146,48 +146,39 @@ class TestValidationMatrix:
         with pytest.raises(ConfigurationError, match="variant"):
             FloodSpec(graph=GRAPH, sources=(0,), variant="lossy:0.1")
 
-    def test_scenario_and_variant_exclusive(self):
-        with pytest.raises(ConfigurationError, match="scenario"):
-            FloodSpec(
-                graph=GRAPH,
-                sources=(0,),
-                scenario="lossy:0.1",
-                variant=k_memory(2),
-            )
+    def test_scenario_is_not_a_spec_field(self):
+        # A scenario string binds to the variant in from_scenario; the
+        # spec itself carries only the variant.
+        with pytest.raises(TypeError, match="scenario"):
+            FloodSpec(graph=GRAPH, sources=(0,), scenario="lossy:0.1")
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigurationError, match="scenario"):
-            FloodSpec(graph=GRAPH, sources=(0,), scenario="quantum")
+            FloodSpec.from_scenario("quantum", GRAPH, (0,))
 
     def test_scenario_bad_arguments(self):
         with pytest.raises(ConfigurationError, match="scenario"):
-            FloodSpec(graph=GRAPH, sources=(0,), scenario="lossy")
+            FloodSpec.from_scenario("lossy", GRAPH, (0,))
         with pytest.raises(ConfigurationError, match="scenario"):
-            FloodSpec(graph=GRAPH, sources=(0,), scenario="lossy:lots")
+            FloodSpec.from_scenario("lossy:lots", GRAPH, (0,))
 
     def test_scenario_probability_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            FloodSpec(graph=GRAPH, sources=(0,), scenario="lossy:1.5")
+            FloodSpec.from_scenario("lossy:1.5", GRAPH, (0,))
 
     def test_ported_scenario_backend_rules(self):
         # Built-in scenarios are variant-backed now: the pure stepper
         # is legal to pin, the deterministic-only engines still raise.
-        spec = FloodSpec(
-            graph=GRAPH, sources=(0,), scenario="periodic:3", backend="pure"
-        )
+        periodic = FloodSpec.from_scenario("periodic:3", GRAPH, (0,))
+        spec = periodic.replace(backend="pure")
         assert spec.backend == "pure"
         for backend in ("oracle", "numpy"):
             with pytest.raises(ConfigurationError, match=backend):
-                FloodSpec(
-                    graph=GRAPH,
-                    sources=(0,),
-                    scenario="periodic:3",
-                    backend=backend,
-                )
+                periodic.replace(backend=backend)
 
     def test_periodic_scenario_needs_one_source(self):
         with pytest.raises(ConfigurationError, match="periodic"):
-            FloodSpec(graph=GRAPH, sources=(0, 3), scenario="periodic:3")
+            FloodSpec.from_scenario("periodic:3", GRAPH, (0, 3))
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "0", 1.0, True])
     def test_bad_stream(self, bad):

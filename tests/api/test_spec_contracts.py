@@ -23,13 +23,11 @@ import dataclasses
 import pytest
 
 from repro.api import FloodSpec
-from repro.api import scenarios
 from repro.api.spec import BATCH_KEY_EXCLUDED, DIGEST_EXCLUDED
 from repro.fastpath import thinning
 from repro.graphs import cycle_graph
 
 GRAPH = cycle_graph(9)
-EXTENSION = "contract_probe"
 
 # The base spec: a stochastic variant so that ``stream`` survives
 # canonicalisation, and an explicit budget so no field resolves to a
@@ -42,35 +40,21 @@ BASE = dict(
     stream=1,
 )
 
-# field -> (overrides applied to BASE on both sides, the changed value).
+# field -> the changed value.
 PERTURBATIONS = {
-    "graph": ({}, cycle_graph(11)),
-    "sources": ({}, (1,)),
-    "max_rounds": ({}, 21),
-    "backend": ({}, "pure"),
-    "variant": ({}, thinning(0.5, seed=4)),
-    # An extension scenario keeps its canonical string (built-ins fold
-    # into ``variant``); it excludes a variant and keeps its stream.
-    "scenario": ({"variant": None, "stream": 0}, EXTENSION),
-    "stream": ({}, 2),
-    "collect_senders": ({}, True),
-    "collect_receives": ({}, True),
-    "cache": ({}, "bypass"),
+    "graph": cycle_graph(11),
+    "sources": (1,),
+    "max_rounds": 21,
+    "backend": "pure",
+    "variant": thinning(0.5, seed=4),
+    "stream": 2,
+    "collect_senders": True,
+    "collect_receives": True,
+    "cache": "bypass",
 }
 
 FIELDS = [field.name for field in dataclasses.fields(FloodSpec)]
 DIGEST_FIELDS = [name for name in FIELDS if name not in DIGEST_EXCLUDED]
-
-
-@pytest.fixture(autouse=True)
-def extension_scenario():
-    scenarios.register_scenario(
-        EXTENSION, lambda args, kwargs, spec: (None, EXTENSION)
-    )
-    try:
-        yield
-    finally:
-        scenarios._BINDERS.pop(EXTENSION, None)
 
 
 def perturbed_pair(name):
@@ -80,10 +64,8 @@ def perturbed_pair(name):
             f"FloodSpec field {name!r} has no entry in PERTURBATIONS; add "
             f"a perturbation so its digest and batch-key effect is tested"
         )
-    overrides, changed = PERTURBATIONS[name]
-    fields = {**BASE, **overrides}
-    base = FloodSpec(**fields)
-    other = FloodSpec(**{**fields, name: changed})
+    base = FloodSpec(**BASE)
+    other = FloodSpec(**{**BASE, name: PERTURBATIONS[name]})
     for field in FIELDS:
         if field == name:
             assert getattr(base, field) != getattr(other, field), field

@@ -314,6 +314,28 @@ class TestStoreFailure:
         assert pending == 0
         assert inflight == {}
 
+    def test_failed_store_write_leaves_no_entry_to_hit(self):
+        class FailsOnce(FailingStore):
+            failed = False
+
+            def save(self, key, blob):
+                if not self.failed:
+                    self.failed = True
+                    super().save(key, blob)
+
+        async def main():
+            cache = ResultCache(store=FailsOnce())
+            async with FloodService(workers=0, cache=cache) as service:
+                with pytest.raises(OSError):
+                    await service.query_spec(spec_for(3))
+                run = await service.query_spec(spec_for(3))
+                return run, service.stats, cache.stats()
+
+        run, stats, cache_stats = asyncio.run(main())
+        assert run_fields(run) == run_fields(sweep_specs([spec_for(3)])[0])
+        assert stats.cache_hits == 0  # the second query executed again
+        assert cache_stats.stores == 1
+
 
 class TestAdmissionFailure:
     @pytest.mark.parametrize("entry_point", ENTRY_POINTS)

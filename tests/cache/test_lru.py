@@ -109,6 +109,23 @@ class TestCounters:
         cache.note_coalesced(3)
         assert cache.stats().coalesced == 4
 
+    def test_failed_store_write_admits_and_counts_nothing(self):
+        class FailingStore:
+            def load(self, key):
+                return None
+
+            def save(self, key, blob):
+                raise OSError("no space left on the store")
+
+            def delete(self, key):
+                pass
+
+        cache = ResultCache(store=FailingStore())
+        with pytest.raises(OSError):
+            cache.put(key(1), b"blob")
+        assert key(1) not in cache
+        assert cache.stats().stores == 0
+
     def test_stats_is_a_snapshot(self):
         cache = ResultCache()
         before = cache.stats()

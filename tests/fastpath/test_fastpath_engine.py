@@ -176,6 +176,22 @@ class TestSweep:
         assert full.sender_sets() == reference.sender_sets
         assert full.receive_rounds() == reference.receive_rounds
 
+    def test_homogeneity_check_never_compares_a_shared_graph(self):
+        """Specs of one batch usually share one Graph object; checking
+        them must not walk its adjacency (O(graph) per spec)."""
+        from repro.fastpath.engine import ensure_homogeneous_specs
+
+        class Uncomparable(dict):
+            def __eq__(self, other):
+                raise AssertionError("the adjacency was compared")
+
+            __hash__ = dict.__hash__
+
+        graph = cycle_graph(15)
+        specs = [FloodSpec(graph=graph, sources=(v,)) for v in (0, 3, 7)]
+        graph._adj = Uncomparable(graph._adj)
+        assert ensure_homogeneous_specs(specs) is specs[0]
+
 
 class TestArcMasks:
     def test_mask_roundtrip(self):
