@@ -32,7 +32,13 @@
 #                 field reaches the digest or is excluded by name;
 #                 every scenario binds to a variant or the plain
 #                 process, a pinned seed= winning), fail-fast
-#                 likewise + the examples suite (the
+#                 likewise, the entry-point subset (the session-
+#                 equivalence matrix and the parallel_sweep suite:
+#                 run_spec, sweep, parallel_sweep serial and pooled,
+#                 the session and the service bit-identical per
+#                 backend x variant kind x budget, so drift between
+#                 entry points fails early), fail-fast likewise +
+#                 the examples suite (the
 #                 facade-based examples run whole per PR) + the
 #                 perfbench self-tests (its tracer fails loudly when
 #                 a repro name it instruments moves) + a traced
@@ -80,6 +86,7 @@ smoke:
 	$(PYTHON) -m pytest -x -q tests/variants/test_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_scenario_fastpath_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/api/test_spec_contracts.py tests/api/test_scenarios.py
+	$(PYTHON) -m pytest -x -q tests/api/test_session_equivalence.py tests/parallel/test_parallel_sweep.py
 	$(PYTHON) -m pytest -x -q tests/integration/test_examples.py
 	$(PYTHON) -m pytest -x -q perfbench/tests
 	for workload in sweep_long sweep_dense serve_trickle serve_zipf; do \

@@ -41,7 +41,7 @@ from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import parallel_sweep
 from repro.sync.engine import default_round_budget
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -70,12 +70,11 @@ def test_ext_ap_auto_vs_oracle_lane(benchmark, allpairs_workload):
     sides take the min of interleaved repetitions.
     """
     graph = allpairs_workload
-    result = benchmark.pedantic(
+    result, auto_first = timed_pedantic(
+        benchmark,
         all_pairs_termination,
         args=(graph,),
         kwargs={"pair_limit": PAIRS},
-        rounds=1,
-        iterations=1,
     )
     assert len(result) == PAIRS
     pairs = [pair for pair, _ in result]
@@ -89,7 +88,7 @@ def test_ext_ap_auto_vs_oracle_lane(benchmark, allpairs_workload):
         call()
         return time.perf_counter() - started
 
-    auto_times = [benchmark.stats.stats.min]
+    auto_times = [auto_first]
     oracle_times = []
     for repeat in range(3):
         oracle_times.append(
@@ -142,12 +141,8 @@ def test_ext_ap_bitset_lane_vs_per_source(
     pairs = [
         pair for pair, _ in all_pairs_termination(graph, pair_limit=batch)
     ]
-    runs = benchmark.pedantic(
-        sweep,
-        args=(graph, pairs),
-        kwargs={"backend": "oracle"},
-        rounds=1,
-        iterations=1,
+    runs, bitset_first = timed_pedantic(
+        benchmark, sweep, args=(graph, pairs), kwargs={"backend": "oracle"}
     )
     index = IndexedGraph.of(graph)
     budget = default_round_budget(graph)
@@ -170,7 +165,7 @@ def test_ext_ap_bitset_lane_vs_per_source(
         call()
         return time.perf_counter() - started
 
-    bitset_times = [benchmark.stats.stats.min]
+    bitset_times = [bitset_first]
     per_source_times = []
     for repeat in range(3):
         per_source_times.append(timed(per_source))

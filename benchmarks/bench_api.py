@@ -35,7 +35,7 @@ from repro.fastpath import sweep
 from repro.graphs import erdos_renyi
 from repro.parallel import worker_count
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -82,11 +82,11 @@ def test_ext_api_facade_overhead(benchmark, workload):
             if facade_best is None or elapsed < facade_best:
                 facade_best = elapsed
 
-        facade_timed = benchmark.pedantic(
-            session.sweep, args=(specs,), rounds=1, iterations=1
+        facade_timed, facade_seconds = timed_pedantic(
+            benchmark, session.sweep, args=(specs,)
         )
         assert [result.raw for result in facade_timed] == direct_runs
-        facade_best = min(facade_best, benchmark.stats.stats.min)
+        facade_best = min(facade_best, facade_seconds)
 
     overhead = facade_best / direct_best
     assert overhead <= OVERHEAD_LIMIT, (
@@ -117,12 +117,12 @@ def test_ext_api_facade_pooled(benchmark, workload):
         with FloodSession(workers=2) as session:
             return session.sweep(specs)
 
-    pooled_results = benchmark.pedantic(pooled_sweep, rounds=1, iterations=1)
+    pooled_results, pooled_seconds = timed_pedantic(benchmark, pooled_sweep)
     assert [result.raw for result in pooled_results] == [
         result.raw for result in serial_results
     ]
 
-    speedup = serial_seconds / benchmark.stats.stats.min
+    speedup = serial_seconds / pooled_seconds
     cores = worker_count()
     if cores >= 4 and not QUICK:
         assert speedup >= 1.0, (

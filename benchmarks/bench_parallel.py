@@ -43,7 +43,7 @@ from repro.parallel import (
     worker_count,
 )
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 FORCE_FAIL = os.environ.get("REPRO_BENCH_FORCE_FAIL", "") not in ("", "0")
@@ -139,16 +139,14 @@ def test_ext_par_sweep_sharded(benchmark, workload, serial_baseline, workers):
     serial_seconds, serial_runs = serial_baseline
     chunksize = default_chunksize(len(source_sets), workers)
 
-    runs = benchmark.pedantic(
+    runs, parallel_seconds = timed_pedantic(
+        benchmark,
         parallel_sweep,
         args=(graph, source_sets),
         kwargs={"workers": workers, "chunksize": chunksize},
-        rounds=1,
-        iterations=1,
     )
     _assert_identical(serial_runs, runs)
 
-    parallel_seconds = benchmark.stats.stats.min
     speedup = serial_seconds / parallel_seconds
     cores = worker_count()
     # Arm only on the full workload: the smoke-sized batch is dominated
@@ -180,11 +178,11 @@ def test_ext_par_sweep_warm_pool(benchmark, workload, serial_baseline):
     specs = [FloodSpec(graph, tuple(sources)) for sources in source_sets]
     with SweepPool(graph, workers=2) as pool:
         pool.sweep_specs(specs[:2])  # prime worker state
-        runs = benchmark.pedantic(
-            pool.sweep_specs, args=(specs,), rounds=1, iterations=1
+        runs, pool_seconds = timed_pedantic(
+            benchmark, pool.sweep_specs, args=(specs,)
         )
     _assert_identical(serial_runs, runs)
-    speedup = serial_seconds / benchmark.stats.stats.min
+    speedup = serial_seconds / pool_seconds
     record(
         benchmark,
         nodes=graph.num_nodes,
@@ -225,9 +223,7 @@ def test_ext_par_auto_long_floods(benchmark):
     auto_specs = [FloodSpec(graph, (nodes[i],)) for i in range(batch)]
     pure_specs = [spec.replace(backend="pure") for spec in auto_specs]
 
-    runs = benchmark.pedantic(
-        sweep_specs, args=(auto_specs,), rounds=1, iterations=1
-    )
+    runs, auto_first = timed_pedantic(benchmark, sweep_specs, args=(auto_specs,))
     pure_runs = sweep_specs(pure_specs)
 
     def timed(specs):
@@ -235,7 +231,7 @@ def test_ext_par_auto_long_floods(benchmark):
         sweep_specs(specs)
         return time.perf_counter() - started
 
-    auto_times = [benchmark.stats.stats.min]
+    auto_times = [auto_first]
     pure_times = []
     for repeat in range(repeats):
         pure_times.append(timed(pure_specs))
@@ -278,17 +274,13 @@ def test_ext_par_sweep_oracle(benchmark, workload, serial_baseline):
     """
     graph, source_sets = workload
     serial_seconds, serial_runs = serial_baseline
-    runs = benchmark.pedantic(
-        sweep,
-        args=(graph, source_sets),
-        kwargs={"backend": "oracle"},
-        rounds=1,
-        iterations=1,
+    runs, oracle_seconds = timed_pedantic(
+        benchmark, sweep, args=(graph, source_sets), kwargs={"backend": "oracle"}
     )
     for frontier, oracle in zip(serial_runs, runs):
         assert oracle.termination_round == frontier.termination_round
         assert oracle.total_messages == frontier.total_messages
-    speedup = serial_seconds / benchmark.stats.stats.min
+    speedup = serial_seconds / oracle_seconds
     record(
         benchmark,
         nodes=graph.num_nodes,

@@ -40,7 +40,7 @@ import pytest
 from repro.api import FloodSpec, run_scenario
 from repro.fastpath import IndexedGraph, run_spec
 from repro.graphs import erdos_renyi
-from conftest import record
+from conftest import record, timed_pedantic
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -117,12 +117,12 @@ def test_ext_scn_periodic_fast_vs_reference(benchmark, workload):
     spec = scenario_spec("periodic:2,6", graph, [source])
     reference_seconds, reference = timed_reference(spec)
 
-    fast = benchmark.pedantic(
-        run_spec, args=(spec,), rounds=3, iterations=1, warmup_rounds=1
+    fast, fast_seconds = timed_pedantic(
+        benchmark, run_spec, args=(spec,), rounds=3, warmup_rounds=1
     )
     assert_stats_equal(fast, reference)
 
-    speedup = reference_seconds / benchmark.stats.stats.min
+    speedup = reference_seconds / fast_seconds
     assert speedup >= MIN_SPEEDUP, (
         f"periodic stepper only {speedup:.2f}x over the set-based "
         f"reference on {NODES} nodes"
@@ -148,12 +148,12 @@ def test_ext_scn_multi_message_fast_vs_reference(benchmark, workload):
     spec = scenario_spec("multi_message", graph, sources)
     reference_seconds, reference = timed_reference(spec)
 
-    fast = benchmark.pedantic(
-        run_spec, args=(spec,), rounds=3, iterations=1, warmup_rounds=1
+    fast, fast_seconds = timed_pedantic(
+        benchmark, run_spec, args=(spec,), rounds=3, warmup_rounds=1
     )
     assert_stats_equal(fast, reference)
 
-    speedup = reference_seconds / benchmark.stats.stats.min
+    speedup = reference_seconds / fast_seconds
     assert speedup >= MIN_SPEEDUP, (
         f"multi_message stepper only {speedup:.2f}x over the "
         f"per-message engine on {NODES} nodes"
@@ -184,12 +184,12 @@ def test_ext_scn_random_delay_fast_vs_reference(benchmark, workload):
     )
     reference_seconds, reference = timed_reference(spec, repeats=1)
 
-    fast = benchmark.pedantic(
-        run_spec, args=(spec,), rounds=3, iterations=1, warmup_rounds=1
+    fast, fast_seconds = timed_pedantic(
+        benchmark, run_spec, args=(spec,), rounds=3, warmup_rounds=1
     )
     assert_stats_equal(fast, reference)
 
-    speedup = reference_seconds / benchmark.stats.stats.min
+    speedup = reference_seconds / fast_seconds
     assert speedup >= MIN_SPEEDUP, (
         f"random_delay stepper only {speedup:.2f}x over the async "
         f"engine on {NODES} nodes"
@@ -220,12 +220,12 @@ def test_ext_scn_dynamic_schedule(benchmark, workload):
     )
     reference_seconds, reference = timed_reference(spec, repeats=1)
 
-    fast = benchmark.pedantic(
-        run_spec, args=(spec,), rounds=3, iterations=1, warmup_rounds=1
+    fast, fast_seconds = timed_pedantic(
+        benchmark, run_spec, args=(spec,), rounds=3, warmup_rounds=1
     )
     assert_stats_equal(fast, reference)
 
-    speedup = reference_seconds / benchmark.stats.stats.min
+    speedup = reference_seconds / fast_seconds
     record(
         benchmark,
         nodes=graph.num_nodes,

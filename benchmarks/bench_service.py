@@ -40,7 +40,7 @@ from repro.graphs import erdos_renyi
 from repro.parallel import worker_count
 from repro.service import FloodService
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -128,8 +128,8 @@ def test_ext_svc_concurrent_queries(
     graph, sources = workload
     sequential_seconds, sequential_runs = sequential_baseline
 
-    runs, stats = benchmark.pedantic(
-        serve_all, args=(graph, sources, 4), rounds=1, iterations=1
+    (runs, stats), service_seconds = timed_pedantic(
+        benchmark, serve_all, args=(graph, sources, 4)
     )
     _assert_matches_serial(graph, sources, runs)
     for reference, served in zip(sequential_runs, runs):
@@ -138,7 +138,6 @@ def test_ext_svc_concurrent_queries(
     assert stats.queries == len(sources)
     assert stats.mean_batch_size() > 1.0, "no coalescing happened"
 
-    service_seconds = benchmark.stats.stats.min
     vs_simulate = sequential_seconds / service_seconds
     cores = worker_count()
     # Arm only on the full workload: the smoke-sized batch cannot
@@ -180,13 +179,12 @@ def test_ext_svc_serial_mode(
     graph, sources = workload
     sequential_seconds, _ = sequential_baseline
 
-    runs, stats = benchmark.pedantic(
-        serve_all, args=(graph, sources, 0), rounds=1, iterations=1
+    (runs, stats), service_seconds = timed_pedantic(
+        benchmark, serve_all, args=(graph, sources, 0)
     )
     _assert_matches_serial(graph, sources, runs)
     assert stats.queries == len(sources)
 
-    service_seconds = benchmark.stats.stats.min
     record(
         benchmark,
         nodes=graph.num_nodes,

@@ -43,7 +43,7 @@ from repro.graphs import erdos_renyi
 from repro.parallel import worker_count
 from repro.variants import k_memory_trace, lossy_survey
 
-from conftest import record
+from conftest import record, timed_pedantic
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -92,19 +92,17 @@ def test_ext_var_lossy_survey_fast_vs_reference(
     reference_seconds, reference = reference_survey
     spec = bernoulli_loss(LOSS_RATE, seed=SEED)
 
-    fast = benchmark.pedantic(
+    fast, fast_seconds = timed_pedantic(
+        benchmark,
         variant_survey,
         args=(graph, source, spec, TRIALS),
         kwargs={"max_rounds": BUDGET, "workers": None},
-        rounds=1,
-        iterations=1,
     )
     assert fast.termination_rate == reference.termination_rate
     assert fast.mean_rounds == reference.mean_rounds
     assert fast.mean_messages == reference.mean_messages
     assert fast.coverage == reference.coverage
 
-    fast_seconds = benchmark.stats.stats.min
     speedup = reference_seconds / fast_seconds
     assert speedup >= MIN_SPEEDUP, (
         f"fast-path lossy survey only {speedup:.2f}x over the reference "
@@ -140,16 +138,15 @@ def test_ext_var_lossy_survey_parallel(benchmark, workload):
     )
     serial_seconds = time.perf_counter() - started
 
-    sharded = benchmark.pedantic(
+    sharded, sharded_seconds = timed_pedantic(
+        benchmark,
         variant_survey,
         args=(graph, source, spec, TRIALS),
         kwargs={"max_rounds": BUDGET, "workers": 2},
-        rounds=1,
-        iterations=1,
     )
     assert sharded == serial  # bit-identical summary, pool or no pool
 
-    speedup = serial_seconds / benchmark.stats.stats.min
+    speedup = serial_seconds / sharded_seconds
     cores = worker_count()
     if cores >= 4 and not QUICK:
         assert speedup >= 1.0, (
@@ -181,19 +178,18 @@ def test_ext_var_kmemory_fast_vs_engine(benchmark, workload):
     trace = k_memory_trace(graph, source, k, max_rounds=budget)
     engine_seconds = time.perf_counter() - started
 
-    runs = benchmark.pedantic(
+    runs, fast_seconds = timed_pedantic(
+        benchmark,
         sweep,
         args=(graph, [[source]]),
         kwargs={"max_rounds": budget, "variant": k_memory(k)},
-        rounds=1,
-        iterations=1,
     )
     fast = runs[0]
     assert fast.terminated == trace.terminated
     assert fast.termination_round == trace.rounds_executed
     assert fast.total_messages == trace.total_messages()
 
-    speedup = engine_seconds / benchmark.stats.stats.min
+    speedup = engine_seconds / fast_seconds
     record(
         benchmark,
         nodes=graph.num_nodes,

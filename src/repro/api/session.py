@@ -7,10 +7,12 @@ batch work, one :class:`~repro.service.FloodService` for async queries
 
 * :meth:`FloodSession.run` -- one spec, serially, on the fast-path
   engine (every scenario string binds to a variant or the plain
-  process); ``reference=True`` reruns the request on its pinned set-based
+  process): a :meth:`~FloodSession.sweep` batch of one.
+  ``reference=True`` reruns the request on its pinned set-based
   reference engine instead.
 * :meth:`FloodSession.sweep` -- many specs: grouped by execution shape
-  (graph, budget, backend request, variant, collection flags), each
+  (:meth:`~repro.api.spec.FloodSpec.shape`: graph, budget, backend
+  request, variant, collection flags), each
   group resolved by the one backend rule
   (:func:`~repro.fastpath.engine.resolve_backend`) and run serially
   or across a warm worker pool depending on batch size and usable
@@ -95,9 +97,10 @@ class FloodSession:
         async with FloodSession() as session:       # async flows
             result = await session.aquery(spec)
 
-    Pools are built lazily per graph and kept warm for the session's
-    lifetime; close with the context manager (``with`` / ``async
-    with``), :meth:`close`, or :meth:`aclose` when async queries ran.
+    Pools are built lazily per graph and kept warm, at most the
+    ``DEFAULT_MAX_GRAPHS`` most recently used; close with the context
+    manager (``with`` / ``async with``), :meth:`close`, or
+    :meth:`aclose` when async queries ran.
     """
 
     def __init__(
@@ -164,45 +167,27 @@ class FloodSession:
     def run(self, spec: FloodSpec, *, reference: bool = False) -> FloodResult:
         """Execute one spec serially; the facade form of ``simulate``.
 
-        Every spec runs on the arc-mask fast path with the one
-        backend-resolution rule, so the result is bit-identical to
-        ``fastpath.run_spec`` of the same request.  ``reference=True``
-        is the escape hatch onto the pinned set-based engines
-        (:func:`repro.api.scenarios.run_scenario`) -- the second
-        opinion the equivalence matrix compares against; reference
-        runs never touch the result cache.
+        A batch of one through :meth:`sweep`, which never pools it: the
+        result is bit-identical to ``fastpath.run_spec`` of the same
+        request and shares its cache entry with ``sweep([spec])``.
+        ``reference=True`` is the escape hatch onto the pinned
+        set-based engines (:func:`repro.api.scenarios.run_scenario`) --
+        the second opinion the equivalence matrix compares against;
+        reference runs never touch the result cache.
         """
         self._require_open()
         if reference:
             from repro.api.scenarios import run_scenario
 
             return run_scenario(spec)
-        from repro.fastpath.engine import run_spec
-
-        cache = self._results
-        if cache is None or spec.cache == "bypass":
-            return FloodResult.from_indexed(spec, run_spec(spec))
-        from repro.cache import encode_run, lookup_run, result_cache_key
-        from repro.fastpath.engine import resolve_backend
-
-        index = spec.index()
-        # The one resolution rule, as in run_spec and every batch tier,
-        # so run(spec) and sweep([spec]) address the same cache entry.
-        chosen = resolve_backend(index, spec.backend, spec.variant)
-        key = result_cache_key(spec, chosen)
-        if spec.cache == "use":
-            run = lookup_run(cache, key, spec, index)
-            if run is not None:
-                return FloodResult.from_indexed(spec, run)
-        run = run_spec(spec, index=index)
-        cache.put(key, encode_run(run))
-        return FloodResult.from_indexed(spec, run)
+        return self.sweep([spec])[0]
 
     def sweep(self, specs: Iterable[FloodSpec]) -> List[FloodResult]:
         """Execute many specs; results in input order.
 
-        Specs are grouped by execution shape (everything
-        :class:`~repro.api.spec.BatchKey`-relevant plus the graph);
+        Specs are grouped by execution shape
+        (:meth:`~repro.api.spec.FloodSpec.shape`: the graph and
+        everything :class:`~repro.api.spec.BatchKey`-relevant);
         each group runs as one batch -- serially, or across this
         session's warm pool for that graph when the batch and the
         machine justify one.  Grouping changes
@@ -220,24 +205,13 @@ class FloodSession:
                 )
         groups: Dict[Tuple, List[int]] = {}
         for position, spec in enumerate(specs):
-            groups.setdefault(self._group_key(spec), []).append(position)
+            groups.setdefault(spec.shape(), []).append(position)
         results: List[Optional[FloodResult]] = [None] * len(specs)
         for positions in groups.values():
             group = [specs[position] for position in positions]
             for position, result in zip(positions, self._run_group(group)):
                 results[position] = result
         return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _group_key(spec: FloodSpec) -> Tuple:
-        return (
-            spec.graph,
-            spec.max_rounds,
-            spec.backend,
-            spec.variant,
-            spec.collect_senders,
-            spec.collect_receives,
-        )
 
     def _run_group(self, group: List[FloodSpec]) -> List[FloodResult]:
         if self._results is not None:
@@ -274,13 +248,13 @@ class FloodSession:
             lookup_run,
             result_cache_key,
         )
-        from repro.fastpath.engine import batch_key_of
+        from repro.fastpath.engine import resolve_backend
 
         cache = self._results
         index = group[0].index()
-        # The one resolution rule, as in _execute_group and `run`: a
-        # spec addresses one entry whichever tier stored it.
-        chosen = batch_key_of(group, index).backend
+        # The one resolution rule, as in every batch tier: a spec
+        # addresses one entry whichever tier stored it.
+        chosen = resolve_backend(index, group[0].backend, group[0].variant)
         results: List[Optional[Any]] = [None] * len(group)
         keys: List[Optional[str]] = [None] * len(group)
         miss_positions: List[int] = []
@@ -320,12 +294,21 @@ class FloodSession:
         return results  # type: ignore[return-value]
 
     def _pool_for(self, graph: Graph) -> Any:
-        from repro.parallel.pool import SweepPool
+        """The warm pool for ``graph``, kept most recently used.
 
-        pool = self._pools.get(graph)
+        At most the service's ``DEFAULT_MAX_GRAPHS`` pools stay warm;
+        the least recently used one closes first.  ``sweep`` is
+        synchronous, so an evicted pool has no batch in flight.
+        """
+        from repro.parallel.pool import SweepPool
+        from repro.service.service import DEFAULT_MAX_GRAPHS
+
+        pool = self._pools.pop(graph, None)
         if pool is None:
+            if len(self._pools) >= DEFAULT_MAX_GRAPHS:
+                self._pools.pop(next(iter(self._pools))).close()
             pool = SweepPool(graph, workers=self._resolved_workers())
-            self._pools[graph] = pool
+        self._pools[graph] = pool
         return pool
 
     async def aquery(

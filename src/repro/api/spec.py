@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, NodeNotFoundError
@@ -87,6 +87,18 @@ not change it).  The reasons:
 * ``stream`` -- the per-request RNG position; requests on different
   streams batch together by design, each carrying its own
   ``run_key()`` into the pool."""
+
+
+SHAPE_EXCLUDED = frozenset({"sources", "stream", "cache"})
+"""The :class:`FloodSpec` fields in which the specs of one batch may differ.
+
+Every other field is in :data:`SHAPE_FIELDS`: it changes how a batch
+runs, so ``sweep_specs`` rejects a batch that mixes its values and
+``FloodSession.sweep`` groups on it.  ``sources`` and ``stream`` are
+per-run by design; ``cache`` is the per-request cache policy.  A new
+field joins the shape unless it is listed here, and
+``tests/api/test_spec_contracts.py`` perturbs every field to check
+the split."""
 
 
 def _integer_field(name: str, value: object) -> int:
@@ -311,6 +323,10 @@ class FloodSpec:
         # budget and the stream the plain spec canonicalised away.
         return plain.replace(variant=variant, max_rounds=max_rounds, stream=stream)
 
+    def shape(self) -> Tuple[object, ...]:
+        """The values of :data:`SHAPE_FIELDS`: equal shapes batch together."""
+        return _shape_of(self)
+
     def replace(self, **changes: object) -> "FloodSpec":
         """A copy with ``changes`` applied, re-validated at construction."""
         return replace(self, **changes)
@@ -388,3 +404,11 @@ class FloodSpec:
         if self.cache != "use":
             parts.append(f"cache={self.cache!r}")
         return f"FloodSpec({', '.join(parts)})"
+
+
+SHAPE_FIELDS = tuple(
+    field.name for field in fields(FloodSpec) if field.name not in SHAPE_EXCLUDED
+)
+"""The execution-relevant fields a spec batch shares (see :data:`SHAPE_EXCLUDED`)."""
+
+_shape_of = operator.attrgetter(*SHAPE_FIELDS)

@@ -126,9 +126,9 @@ class ReceiptCensus:
 def receipt_census(graph: Graph, sources: Iterable[Node]) -> ReceiptCensus:
     """Classify every node by how many times it will receive the message.
 
-    A batch-of-one :func:`receipt_census_batch`; sweep many source sets
-    through the batch form instead, which rides the word-packed bitset
-    cover sweep.
+    A batch-of-one :func:`receipt_census_batch`; census many source
+    sets through the batch form instead, which indexes the graph once
+    and shards across the pool.
     """
     return receipt_census_batch(graph, [list(sources)])[0]
 
@@ -140,14 +140,14 @@ def receipt_census_batch(
 ) -> List[ReceiptCensus]:
     """One :class:`ReceiptCensus` per source set, as a single batch.
 
-    The whole batch runs as one oracle-backed sweep through
+    The whole batch runs as one ``backend=None`` sweep through
     :func:`repro.parallel.census.receipt_counts`: the graph indexes
-    once, large deterministic batches take the bitset cover sweep
-    (64 source sets per word pass), and the usual pool sharding rules
-    apply.  Each census is bit-identical to the per-call
-    :func:`receipt_census` (which is now a batch of one) and to the
-    original explicit-cover :func:`~repro.core.oracle.predict`
-    classification -- the regression tests pin both.
+    once, the auto-selected frontier engine collects the receive
+    rounds, and the usual pool sharding rules apply.  Each census is
+    bit-identical to the per-call :func:`receipt_census` (which is a
+    batch of one) and to the explicit-cover
+    :func:`~repro.core.oracle.predict` classification -- the
+    regression tests pin both.
     """
     from repro.parallel.census import receipt_counts
 

@@ -35,13 +35,15 @@ message-passing engine.
 
 Entry points:
 
-* :func:`run_spec` -- one flood from a
-  :class:`~repro.api.spec.FloodSpec` (:func:`repro.core.amnesiac.simulate`
-  delegates here);
-* :func:`sweep` -- many floods over one graph, indexing amortised,
-  light statistics (powers ``all_pairs_termination`` and the scaling
+* :func:`sweep_specs` -- a homogeneous batch of
+  :class:`~repro.api.spec.FloodSpec` requests, indexing amortised;
+  :func:`resolve_batch` is its front half, shared with the worker
+  pool, and :func:`run_spec` (behind
+  :func:`repro.core.amnesiac.simulate`) is a batch of one;
+* :func:`sweep` -- the kwargs form: :func:`batch_specs` turns the
+  source sets into specs for :func:`sweep_specs` (powers the scaling
   benchmarks); :func:`repro.parallel.parallel_sweep` is its sharded
-  multi-core form;
+  multi-core form, built from the same specs;
 * :func:`step_arc_mask` / :func:`evolve_arc_mask` -- arbitrary initial
   configurations packed into arc bitmasks (powers the
   initial-conditions census);
@@ -67,12 +69,13 @@ from repro.fastpath.engine import (
     IndexedRun,
     arc_mask_of,
     available_backends,
-    batch_key_of,
+    batch_specs,
     configuration_of_mask,
     dispatch_batch,
     ensure_homogeneous_specs,
     evolve_arc_mask,
     resolve_backend,
+    resolve_batch,
     run_spec,
     select_backend,
     step_arc_mask,
@@ -108,7 +111,7 @@ __all__ = [
     "VariantSummary",
     "arc_mask_of",
     "available_backends",
-    "batch_key_of",
+    "batch_specs",
     "bernoulli_loss",
     "configuration_of_mask",
     "dispatch_batch",
@@ -120,6 +123,7 @@ __all__ = [
     "periodic_injection",
     "random_delay",
     "resolve_backend",
+    "resolve_batch",
     "run_spec",
     "select_backend",
     "step_arc_mask",

@@ -56,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from repro.api.spec import BatchKey, FloodSpec
+from repro.api.spec import BatchKey, FloodSpec, _integer_field
 from repro.errors import ConfigurationError
 from repro.fastpath import bitset_oracle, numpy_backend, oracle_backend, pure_backend
 from repro.fastpath.indexed import IndexedGraph
@@ -160,6 +160,7 @@ def select_backend(index: IndexedGraph, backend: Optional[str] = None) -> str:
 def _resolve_budget(graph: Graph, max_rounds: Optional[int]) -> int:
     if max_rounds is None:
         return default_round_budget(graph)
+    max_rounds = _integer_field("max_rounds", max_rounds)
     if max_rounds < 1:
         raise ConfigurationError("max_rounds must be >= 1")
     return max_rounds
@@ -394,19 +395,13 @@ def raw_run_of(run: IndexedRun) -> pure_backend.RawRun:
 def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRun:
     """One flood from a validated :class:`FloodSpec`, serially.
 
-    The single-run core behind :func:`repro.core.amnesiac.simulate` and
-    ``FloodSession.run``; it resolves the backend with the same
-    :func:`resolve_backend` rule as every batch tier.  A ``variant``
-    spec runs its stochastic/memory stepper on the stream
-    ``spec.run_key()``.  Pass ``index`` to reuse a prebuilt
-    :class:`IndexedGraph`.
+    The single-run core behind :func:`repro.core.amnesiac.simulate`: a
+    batch of one through :func:`sweep_specs`, so a spec runs exactly as
+    it would inside any batch.  A ``variant`` spec runs its
+    stochastic/memory stepper on the stream ``spec.run_key()``.  Pass
+    ``index`` to reuse a prebuilt :class:`IndexedGraph`.
     """
-    if index is None:
-        index = spec.index()
-    source_ids = index.resolve_sources(spec.sources)
-    chosen = resolve_backend(index, spec.backend, spec.variant)
-    raw = _dispatch(index, source_ids, spec.batch_key(chosen), spec.run_key())
-    return wrap_raw_run(index, source_ids, chosen, raw, spec.variant)
+    return sweep_specs([spec], index)[0]
 
 
 def routed_sweep_backend(
@@ -486,10 +481,39 @@ def sweep(
     >>> [run.termination_round for run in fast]
     [9, 9, 7]
 
-    This is a shim over the declarative request path: every source set
-    becomes a :class:`~repro.api.spec.FloodSpec` (position ``i`` at
-    stream ``i`` for variant work) and the batch runs through
-    :func:`sweep_specs`.
+    This is a shim over the declarative request path: the batch becomes
+    :func:`batch_specs` and runs through :func:`sweep_specs`.
+    """
+    return sweep_specs(
+        batch_specs(
+            graph,
+            source_sets,
+            max_rounds,
+            backend,
+            collect_senders,
+            collect_receives,
+            variant,
+        )
+    )
+
+
+def batch_specs(
+    graph: Graph,
+    source_sets: Iterable[Iterable[Node]],
+    max_rounds: Optional[int] = None,
+    backend: Optional[str] = None,
+    collect_senders: bool = False,
+    collect_receives: bool = False,
+    variant: Optional[VariantSpec] = None,
+) -> List[FloodSpec]:
+    """One :class:`FloodSpec` per source set: the kwargs batch as specs.
+
+    The one translation behind the kwargs entry points (:func:`sweep`
+    and :func:`repro.parallel.parallel_sweep`): source set ``i`` runs
+    on stream ``i`` for variant work, and every request rule -- budget
+    defaults, integer and backend validation -- is the spec's own.  An
+    empty batch still validates its budget and backend before
+    returning no specs.
     """
     specs = [
         FloodSpec(
@@ -505,33 +529,24 @@ def sweep(
         for position, sources in enumerate(source_sets)
     ]
     if not specs:
-        # Preserve the legacy contract that an empty batch still
-        # validates its budget and backend before returning nothing.
         _resolve_budget(graph, max_rounds)
         resolve_backend(IndexedGraph.of(graph), backend, variant)
-        return []
-    return sweep_specs(specs)
+    return specs
 
 
 def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
     """Check a spec batch agrees on everything execution-relevant.
 
-    Specs of one batch may differ only in sources and RNG ``stream``;
-    anything that changes how the backend must run them (graph, budget,
-    backend request, variant, collection flags) must
+    Specs of one batch may differ only in sources, RNG ``stream`` and
+    cache policy; every field of :data:`~repro.api.spec.SHAPE_FIELDS`
+    (graph, budget, backend request, variant, collection flags) must
     match, because the whole batch resolves to a single
     :class:`BatchKey`.  Returns the lead spec.
     """
     head = specs[0]
+    shape = head.shape()
     for spec in specs[1:]:
-        if (
-            spec.graph != head.graph
-            or spec.max_rounds != head.max_rounds
-            or spec.backend != head.backend
-            or spec.variant != head.variant
-            or spec.collect_senders != head.collect_senders
-            or spec.collect_receives != head.collect_receives
-        ):
+        if spec.shape() != shape:
             raise ConfigurationError(
                 "sweep_specs requires a homogeneous batch (same graph, "
                 "max_rounds, backend, variant and collection "
@@ -540,17 +555,26 @@ def ensure_homogeneous_specs(specs: Sequence[FloodSpec]) -> FloodSpec:
     return head
 
 
-def batch_key_of(specs: Sequence[FloodSpec], index: IndexedGraph) -> BatchKey:
-    """Resolve one homogeneous spec batch to its executable BatchKey.
+def resolve_batch(
+    specs: Sequence[FloodSpec], index: IndexedGraph
+) -> Tuple[BatchKey, List[List[int]], Optional[List[int]]]:
+    """Resolve one homogeneous spec batch to ``(key, id_lists, run_keys)``.
 
-    The shared front half of every batch tier (serial
-    :func:`sweep_specs`, the worker pool, the service's batch path):
-    checks the specs agree on everything execution-relevant
-    (:func:`ensure_homogeneous_specs`), then runs
-    :func:`resolve_backend` once for the lead spec.
+    The shared front half of the spec batch tiers (serial
+    :func:`sweep_specs` and the worker pool's ``sweep_specs``): checks
+    the specs agree on everything execution-relevant
+    (:func:`ensure_homogeneous_specs`), runs :func:`resolve_backend`
+    once for the lead spec, resolves every spec's sources to CSR ids,
+    and -- for variant work -- takes each run's stream key from its own
+    spec (``None`` for deterministic batches).
     """
     head = ensure_homogeneous_specs(specs)
-    return head.batch_key(resolve_backend(index, head.backend, head.variant))
+    key = head.batch_key(resolve_backend(index, head.backend, head.variant))
+    id_lists = [index.resolve_sources(spec.sources) for spec in specs]
+    run_keys = (
+        [spec.run_key() for spec in specs] if key.variant is not None else None
+    )
+    return key, id_lists, run_keys
 
 
 def sweep_specs(
@@ -558,23 +582,21 @@ def sweep_specs(
 ) -> List[IndexedRun]:
     """Run a homogeneous batch of specs serially, indexing once.
 
-    The spec-native core behind :func:`sweep`: all specs must share
-    their graph and execution-relevant fields (they may differ in
-    sources and RNG ``stream``), the CSR freeze and backend resolution are
-    hoisted out of the loop, and each run draws from its *own* spec's
-    stream key -- so a batch built by the :func:`sweep` shim reproduces
-    the legacy position-keyed randomness exactly.
+    The spec-native core behind :func:`run_spec`, :func:`sweep` and the
+    serial lane of :func:`repro.parallel.parallel_sweep`: all specs
+    must share their graph and execution-relevant fields (they may
+    differ in sources and RNG ``stream``), the CSR freeze and backend
+    resolution are hoisted out of the loop (:func:`resolve_batch`), and
+    each run draws from its *own* spec's stream key -- so a batch built
+    by :func:`batch_specs` reproduces the position-keyed randomness of
+    the kwargs entry points exactly.
     """
     specs = list(specs)
     if not specs:
         return []
     if index is None:
         index = specs[0].index()
-    key = batch_key_of(specs, index)
-    id_lists = [index.resolve_sources(spec.sources) for spec in specs]
-    run_keys = (
-        [spec.run_key() for spec in specs] if key.variant is not None else None
-    )
+    key, id_lists, run_keys = resolve_batch(specs, index)
     raw_runs = dispatch_batch(index, id_lists, key, run_keys)
     return [
         wrap_raw_run(index, source_ids, key.backend, raw, key.variant)

@@ -27,8 +27,8 @@ all cores:
 * :func:`repro.parallel.census.classify_masks` -- the same sharding
   for the configuration census's orbit detections; its sibling
   :func:`repro.parallel.census.receipt_counts` batches per-node
-  receive-count censuses through the oracle backend (word-packed
-  bitset sweep on large deterministic batches).
+  receive-count censuses as one ``backend=None`` sweep on the
+  auto-selected frontier engine.
 
 ``repro.core`` routes :func:`~repro.core.multisource.all_pairs_termination`
 and :func:`~repro.core.initial_conditions.classify_all_configurations`

@@ -71,10 +71,10 @@ from repro.api.spec import BatchKey, FloodSpec
 from repro.errors import ConfigurationError
 from repro.fastpath.engine import (
     IndexedRun,
-    _resolve_budget,
-    batch_key_of,
+    batch_specs,
     dispatch_batch,
-    resolve_backend,
+    resolve_batch,
+    sweep_specs,
     wrap_raw_run,
 )
 from repro.fastpath.indexed import IndexedGraph
@@ -230,11 +230,11 @@ class SweepPool:
         The pool twin of :func:`repro.fastpath.engine.sweep_specs`: the
         specs must agree on graph, budget, backend, variant and
         collection flags (they may differ in sources and RNG
-        ``stream``), resolve to one :class:`BatchKey` through
-        :func:`~repro.fastpath.engine.batch_key_of` on the pool's index,
-        and every run carries its own spec's stream key into whatever
-        chunk it lands on -- bit-identical to the serial spec sweep for
-        every worker count and chunk size.
+        ``stream``), resolve through the same
+        :func:`~repro.fastpath.engine.resolve_batch` on the pool's
+        index, and every run carries its own spec's stream key into
+        whatever chunk it lands on -- bit-identical to the serial spec
+        sweep for every worker count and chunk size.
         """
         specs = list(specs)
         if not specs:
@@ -243,15 +243,7 @@ class SweepPool:
             raise ConfigurationError(
                 "sweep_specs: the specs' graph is not this pool's graph"
             )
-        key = batch_key_of(specs, self.index)
-        id_lists = [
-            self.index.resolve_sources(spec.sources) for spec in specs
-        ]
-        run_keys = (
-            [spec.run_key() for spec in specs]
-            if key.variant is not None
-            else None
-        )
+        key, id_lists, run_keys = resolve_batch(specs, self.index)
         return self.submit_batch(id_lists, key, chunksize, run_keys).result()
 
     def submit_batch(
@@ -420,24 +412,32 @@ def parallel_sweep(
         :func:`default_chunksize`.  Only affects scheduling, never
         results.
 
+    The batch becomes :func:`~repro.fastpath.engine.batch_specs`, the
+    same specs :func:`repro.fastpath.sweep` builds, and runs through
+    the spec funnel: :func:`~repro.fastpath.engine.sweep_specs`
+    serially or :meth:`SweepPool.sweep_specs` pooled.
+
     >>> from repro.graphs import cycle_graph
     >>> runs = parallel_sweep(cycle_graph(9), [[0], [3], [0, 4]])
     >>> [run.termination_round for run in runs]
     [9, 9, 7]
     """
-    index = IndexedGraph.of(graph)
-    id_lists = [index.resolve_sources(sources) for sources in source_sets]
-    budget = _resolve_budget(graph, max_rounds)
-    chosen = resolve_backend(index, backend, variant)
+    specs = batch_specs(
+        graph,
+        source_sets,
+        max_rounds,
+        backend,
+        collect_senders,
+        collect_receives,
+        variant,
+    )
     if chunksize is not None and chunksize < 1:
         raise ConfigurationError("chunksize must be >= 1")
-    key = BatchKey(budget, chosen, collect_senders, collect_receives, variant)
-    run_keys = _variant_run_keys(variant, len(id_lists))
     resolved_workers = worker_count(workers)
     serial = workers is None and (
-        resolved_workers <= 1 or len(id_lists) < MIN_PARALLEL_BATCH
+        resolved_workers <= 1 or len(specs) < MIN_PARALLEL_BATCH
     )
     if serial:
-        return serial_batch_ids(index, id_lists, key, run_keys)
+        return sweep_specs(specs)
     with SweepPool(graph, workers=resolved_workers) as pool:
-        return pool.submit_batch(id_lists, key, chunksize, run_keys).result()
+        return pool.sweep_specs(specs, chunksize)

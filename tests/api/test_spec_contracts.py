@@ -12,7 +12,11 @@ actually does to the digest and the batch key:
 * the digest changes, unless the field is in ``DIGEST_EXCLUDED``, in
   which case it must not change;
 * for digest fields, the batch key changes, unless the field is in
-  ``BATCH_KEY_EXCLUDED``, in which case it must not change.
+  ``BATCH_KEY_EXCLUDED``, in which case it must not change;
+* the batch shape (``spec.shape()``, what ``sweep_specs`` requires a
+  batch to share and ``FloodSession.sweep`` groups on) changes, unless
+  the field is in ``SHAPE_EXCLUDED``, in which case the pair still
+  batches together.
 
 A new field with no entry in :data:`PERTURBATIONS` fails by name, so the
 table cannot fall behind the dataclass.
@@ -23,7 +27,9 @@ import dataclasses
 import pytest
 
 from repro.api import FloodSpec
-from repro.api.spec import BATCH_KEY_EXCLUDED, DIGEST_EXCLUDED
+from repro.api.spec import BATCH_KEY_EXCLUDED, DIGEST_EXCLUDED, SHAPE_EXCLUDED
+from repro.errors import ConfigurationError
+from repro.fastpath import ensure_homogeneous_specs
 from repro.fastpath import thinning
 from repro.graphs import cycle_graph
 
@@ -102,6 +108,22 @@ def test_every_digest_field_splits_the_batch_key_or_is_excluded(name):
         )
 
 
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_field_splits_the_batch_shape_or_is_excluded(name):
+    base, other = perturbed_pair(name)
+    if name in SHAPE_EXCLUDED:
+        assert base.shape() == other.shape()
+        assert ensure_homogeneous_specs([base, other]) is base
+    else:
+        assert base.shape() != other.shape(), (
+            f"FloodSpec field {name!r} does not change shape(); one batch "
+            f"could mix requests that must run differently"
+        )
+        with pytest.raises(ConfigurationError, match="homogeneous"):
+            ensure_homogeneous_specs([base, other])
+
+
 def test_exclusion_sets_name_real_fields():
     assert DIGEST_EXCLUDED <= set(FIELDS)
     assert BATCH_KEY_EXCLUDED <= set(DIGEST_FIELDS)
+    assert SHAPE_EXCLUDED <= set(FIELDS)

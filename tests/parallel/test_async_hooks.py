@@ -14,10 +14,10 @@ import pytest
 
 from repro.api import BatchKey, FloodSpec
 from repro.errors import ConfigurationError
-from repro.fastpath import IndexedGraph, batch_key_of, select_backend, sweep
+from repro.fastpath import IndexedGraph, resolve_batch, select_backend, sweep
+from repro.fastpath.engine import _resolve_budget
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import SweepPool, serial_batch_ids
-from repro.parallel.pool import _resolve_budget
 
 
 def assert_runs_identical(expected, actual):
@@ -41,10 +41,10 @@ def workload():
 
 
 def submit(pool, source_sets, **fields):
-    """Resolve a batch the way the service does, then submit it."""
+    """Resolve a spec batch on the pool's index, then submit it."""
     specs = [FloodSpec(pool.graph, tuple(s), **fields) for s in source_sets]
-    id_lists = [pool.index.resolve_sources(spec.sources) for spec in specs]
-    return pool.submit_batch(id_lists, batch_key_of(specs, pool.index))
+    key, id_lists, run_keys = resolve_batch(specs, pool.index)
+    return pool.submit_batch(id_lists, key, run_keys=run_keys)
 
 
 class TestSubmitBatch:
