@@ -119,6 +119,24 @@ def _integer_field(name: str, value: object) -> int:
         ) from None
 
 
+def checked_budget(max_rounds: Optional[int]) -> Optional[int]:
+    """An explicit ``max_rounds`` as a plain ``int >= 1``; ``None`` as is.
+
+    The one budget-validation rule: :class:`FloodSpec` applies it on
+    construction and :func:`repro.fastpath.engine.batch_specs` applies
+    it to an empty batch, which builds no spec to do so.  Resolving
+    ``None`` to a default is the spec's job, because the default depends
+    on the variant.
+    """
+    if max_rounds is None:
+        return None
+    if type(max_rounds) is not int:
+        max_rounds = _integer_field("max_rounds", max_rounds)
+    if max_rounds < 1:
+        raise ConfigurationError("max_rounds must be >= 1")
+    return max_rounds
+
+
 @dataclass(frozen=True)
 class BatchKey:
     """The execution-relevant projection of a :class:`FloodSpec`.
@@ -225,13 +243,9 @@ class FloodSpec:
         object.__setattr__(self, "sources", tuple(canonical))
         # Integer fields canonicalise to a plain int (the exact-type
         # check keeps the common case to one comparison).
-        if self.max_rounds is not None:
-            if type(self.max_rounds) is not int:
-                object.__setattr__(
-                    self, "max_rounds", _integer_field("max_rounds", self.max_rounds)
-                )
-            if self.max_rounds < 1:
-                raise ConfigurationError("max_rounds must be >= 1")
+        budget = checked_budget(self.max_rounds)
+        if budget is not self.max_rounds:
+            object.__setattr__(self, "max_rounds", budget)
         if type(self.stream) is not int:
             object.__setattr__(self, "stream", _integer_field("stream", self.stream))
         if self.stream < 0:

@@ -39,7 +39,8 @@ Entry points:
   :class:`~repro.api.spec.FloodSpec` requests, indexing amortised;
   :func:`resolve_batch` is its front half, shared with the worker
   pool, and :func:`run_spec` (behind
-  :func:`repro.core.amnesiac.simulate`) is a batch of one;
+  :func:`repro.core.amnesiac.simulate`) resolves a batch of one
+  through it;
 * :func:`sweep` -- the kwargs form: :func:`batch_specs` turns the
   source sets into specs for :func:`sweep_specs` (powers the scaling
   benchmarks); :func:`repro.parallel.parallel_sweep` is its sharded

@@ -56,13 +56,12 @@ from typing import (
     Tuple,
 )
 
-from repro.api.spec import BatchKey, FloodSpec, _integer_field
+from repro.api.spec import BatchKey, FloodSpec, checked_budget
 from repro.errors import ConfigurationError
 from repro.fastpath import bitset_oracle, numpy_backend, oracle_backend, pure_backend
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.variants import VariantSpec, run_variant, variant_backend
 from repro.graphs.graph import Graph, Node
-from repro.sync.engine import default_round_budget
 
 PURE = "pure"
 NUMPY = "numpy"
@@ -155,15 +154,6 @@ def select_backend(index: IndexedGraph, backend: Optional[str] = None) -> str:
             return NUMPY
         return PURE
     return backend
-
-
-def _resolve_budget(graph: Graph, max_rounds: Optional[int]) -> int:
-    if max_rounds is None:
-        return default_round_budget(graph)
-    max_rounds = _integer_field("max_rounds", max_rounds)
-    if max_rounds < 1:
-        raise ConfigurationError("max_rounds must be >= 1")
-    return max_rounds
 
 
 @dataclass
@@ -396,12 +386,18 @@ def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRu
     """One flood from a validated :class:`FloodSpec`, serially.
 
     The single-run core behind :func:`repro.core.amnesiac.simulate`: a
-    batch of one through :func:`sweep_specs`, so a spec runs exactly as
-    it would inside any batch.  A ``variant`` spec runs its
-    stochastic/memory stepper on the stream ``spec.run_key()``.  Pass
-    ``index`` to reuse a prebuilt :class:`IndexedGraph`.
+    batch of one resolved by :func:`resolve_batch`, so a spec runs
+    exactly as it would inside any batch, without the batch loop's
+    per-call list work (a one-run batch never takes the bitset lane).
+    A ``variant`` spec runs its stochastic/memory stepper on the stream
+    ``spec.run_key()``.  Pass ``index`` to reuse a prebuilt
+    :class:`IndexedGraph`.
     """
-    return sweep_specs([spec], index)[0]
+    if index is None:
+        index = spec.index()
+    key, (source_ids,), run_keys = resolve_batch((spec,), index)
+    raw = _dispatch(index, source_ids, key, run_keys[0] if run_keys else 0)
+    return wrap_raw_run(index, source_ids, key.backend, raw, key.variant)
 
 
 def routed_sweep_backend(
@@ -529,7 +525,7 @@ def batch_specs(
         for position, sources in enumerate(source_sets)
     ]
     if not specs:
-        _resolve_budget(graph, max_rounds)
+        checked_budget(max_rounds)
         resolve_backend(IndexedGraph.of(graph), backend, variant)
     return specs
 

@@ -171,19 +171,29 @@ def _wrap_runs(
     ]
 
 
-def _variant_run_keys(
-    variant: Optional[VariantSpec], count: int
-) -> Optional[List[int]]:
-    """Per-run RNG stream keys for a batch: key ``i`` belongs to run ``i``.
+def _check_run_keys(
+    id_lists: Sequence[List[int]],
+    key: BatchKey,
+    run_keys: Optional[Sequence[int]],
+) -> None:
+    """Variant work carries one RNG stream key per id list, aligned.
 
-    Keys are derived from the batch *position*, before any sharding, so
-    chunking and worker scheduling cannot move a run onto a different
-    stream -- the root of the cross-worker determinism guarantee for
-    stochastic variants.  ``None`` for deterministic work.
+    The keys come from each request's own spec
+    (:meth:`~repro.api.spec.FloodSpec.run_key`, gathered by
+    :func:`~repro.fastpath.engine.resolve_batch` or per request by the
+    service), so chunking and worker scheduling cannot move a run onto
+    a different stream.  A variant batch without keys is refused rather
+    than run with a second, position-based rule.
     """
-    if variant is None:
-        return None
-    return [variant.run_key(position) for position in range(count)]
+    if run_keys is None:
+        if key.variant is not None:
+            raise ConfigurationError(
+                "variant batches need run_keys: one stream key per id list"
+            )
+    elif len(run_keys) != len(id_lists):
+        raise ConfigurationError(
+            "run_keys must align one-to-one with id_lists"
+        )
 
 
 class SweepPool:
@@ -304,21 +314,14 @@ class SweepPool:
 
         ``run_keys`` is sliced with the same offsets as ``id_lists``: a
         run carries its stream key with it into whichever chunk and
-        worker it lands on.  Variant work with no explicit keys gets
-        the default position-keyed derivation, so a caller reaching
-        this layer directly can never silently run every trial on one
-        stream.
+        worker it lands on.  Variant work must supply them
+        (:func:`_check_run_keys`).
         """
         if chunksize is None:
             chunksize = default_chunksize(len(id_lists), self.workers)
         elif chunksize < 1:
             raise ConfigurationError("chunksize must be >= 1")
-        if run_keys is None:
-            run_keys = _variant_run_keys(key.variant, len(id_lists))
-        if run_keys is not None and len(run_keys) != len(id_lists):
-            raise ConfigurationError(
-                "run_keys must align one-to-one with id_lists"
-            )
+        _check_run_keys(id_lists, key, run_keys)
         return [
             (
                 list(id_lists[start : start + chunksize]),
@@ -369,12 +372,9 @@ def serial_batch_ids(
     single-core box) executes batches through exactly this function --
     one code path, one determinism contract, pool or no pool, and one
     :class:`BatchKey` object from admission to execution.  Variant work
-    with ``run_keys=None`` defaults to the position-keyed derivation
-    (run ``i`` on stream ``derive_key(variant.seed, i)``), matching
-    :func:`repro.fastpath.sweep`.
+    must supply one stream key per id list, exactly as the pool does.
     """
-    if run_keys is None:
-        run_keys = _variant_run_keys(key.variant, len(id_lists))
+    _check_run_keys(id_lists, key, run_keys)
     raw_runs = dispatch_batch(index, id_lists, key, run_keys)
     return _wrap_runs(index, id_lists, raw_runs, key)
 

@@ -15,9 +15,9 @@ import pytest
 from repro.api import BatchKey, FloodSpec
 from repro.errors import ConfigurationError
 from repro.fastpath import IndexedGraph, resolve_batch, select_backend, sweep
-from repro.fastpath.engine import _resolve_budget
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import SweepPool, serial_batch_ids
+from repro.sync.engine import default_round_budget
 
 
 def assert_runs_identical(expected, actual):
@@ -97,7 +97,7 @@ class TestSerialBatchIds:
         graph, source_sets = workload
         index = IndexedGraph.of(graph)
         id_lists = [index.resolve_sources(s) for s in source_sets]
-        budget = _resolve_budget(graph, None)
+        budget = default_round_budget(graph)
         backend = select_backend(index, None)
         key = BatchKey(budget, backend, False, False)
         runs = serial_batch_ids(index, id_lists, key)

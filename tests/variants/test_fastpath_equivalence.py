@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import BatchKey, FloodSpec
+from repro.api import FloodSpec
 from repro.core import simulate
 from repro.errors import ConfigurationError
 from repro.fastpath import (
     IndexedGraph,
+    batch_specs,
     bernoulli_loss,
     k_memory,
+    resolve_batch,
     run_spec,
     sweep,
     thinning,
@@ -370,37 +372,39 @@ class TestPoolDeterminism:
             again = variant_survey(graph, 0, spec, trials=40, workers=workers)
             assert again == baseline
 
-    def test_serial_batch_ids_defaults_to_position_keys(self, workload):
-        # The exported in-process fallback must never silently run
-        # every trial on one stream when run_keys is omitted: the
-        # default is the same position-keyed derivation sweep() uses.
-        from repro.fastpath import IndexedGraph
-        from repro.fastpath.engine import _resolve_budget
+    def test_serial_batch_ids_runs_the_specs_streams(self, workload):
+        # The exported in-process fallback runs each id list on the
+        # stream key its spec carries, and refuses variant work without
+        # keys rather than running every trial on one stream.
         from repro.parallel import serial_batch_ids
 
         graph, source_sets = workload
         spec = thinning(0.5, seed=42)
+        specs = batch_specs(graph, source_sets[:10], variant=spec)
         index = IndexedGraph.of(graph)
-        id_lists = [index.resolve_sources(s) for s in source_sets[:10]]
-        key = BatchKey(_resolve_budget(graph, None), "pure", False, False, spec)
-        runs = serial_batch_ids(index, id_lists, key)
+        key, id_lists, run_keys = resolve_batch(specs, index)
+        runs = serial_batch_ids(index, id_lists, key, run_keys)
         self.assert_runs_identical(
             sweep(graph, source_sets[:10], variant=spec), runs
         )
         assert len({run.total_messages for run in runs}) > 1  # streams differ
+        with pytest.raises(ConfigurationError, match="run_keys"):
+            serial_batch_ids(index, id_lists, key)
 
-    def test_pool_defaults_to_position_keys(self, workload):
-        # Same guarantee through a real pool when submit paths are
-        # reached without explicit keys.
+    def test_pool_runs_the_specs_streams(self, workload):
+        # Same guarantee through a real pool's submit path.
         from repro.parallel import SweepPool
 
         graph, source_sets = workload
         spec = bernoulli_loss(0.35, seed=6)
+        specs = batch_specs(graph, source_sets[:10], max_rounds=40, variant=spec)
         with SweepPool(graph, workers=2) as pool:
-            index = pool.index
-            id_lists = [index.resolve_sources(s) for s in source_sets[:10]]
-            key = BatchKey(40, "pure", False, False, spec)
-            runs = pool.submit_batch(id_lists, key).result(timeout=60)
+            key, id_lists, run_keys = resolve_batch(specs, pool.index)
+            runs = pool.submit_batch(id_lists, key, run_keys=run_keys).result(
+                timeout=60
+            )
+            with pytest.raises(ConfigurationError, match="run_keys"):
+                pool.submit_batch(id_lists, key)
         expected = sweep(graph, source_sets[:10], max_rounds=40, variant=spec)
         self.assert_runs_identical(expected, runs)
 
