@@ -14,6 +14,11 @@
 #                 bitset-oracle equivalence subset (the word-packed
 #                 cover sweep pinned bit-identical to the per-source
 #                 oracle, fail-fast before the full suite), the
+#                 numpy-batch equivalence subset (the word-packed numpy
+#                 engine pinned bit-identical to the pure engine run
+#                 for run, across word widths, bit positions, pool
+#                 chunk sizes and budget cut-offs, with every value a
+#                 Python int/bool, fail-fast likewise), the
 #                 cache-equivalence subset (cached/coalesced/persisted
 #                 results pinned bit-identical to fresh execution,
 #                 fail-fast likewise), the coalescing subset (one
@@ -81,6 +86,7 @@ smoke:
 	$(PYTHON) benchmarks/run_bench.py --quick --summary $(SMOKE_SUMMARY)
 	$(PYTHON) benchmarks/check_drift.py $(SMOKE_SUMMARY)
 	$(PYTHON) -m pytest -x -q tests/fastpath/test_bitset_oracle.py
+	$(PYTHON) -m pytest -x -q tests/fastpath/test_numpy_batch.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_coalescing.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_fastpath_equivalence.py

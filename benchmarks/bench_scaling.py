@@ -9,8 +9,9 @@ odd cycles and cliques.
 
 Also home to the fast-path scaling rows: the CSR backends of
 :mod:`repro.fastpath` against the set-based reference simulator, with
-the 10k-node speedup floor asserted (these are the rows
-``benchmarks/run_bench.py`` trims into ``BENCH_fastpath.json``).
+the 10k-node speedup floor asserted, and the word-packed numpy batch
+against a pure sweep (these are the rows ``benchmarks/run_bench.py``
+trims into ``BENCH_fastpath.json``).
 """
 
 import time
@@ -20,7 +21,7 @@ import pytest
 from repro.api import FloodSpec
 from repro.baselines import compare_on
 from repro.core import simulate, simulate_reference
-from repro.fastpath import IndexedGraph, available_backends, run_spec
+from repro.fastpath import IndexedGraph, available_backends, run_spec, sweep_specs
 from repro.graphs import cycle_graph, erdos_renyi
 
 from conftest import record
@@ -119,6 +120,59 @@ def test_ext_scale_fastpath_speedup_10k(benchmark):
         measured_rounds=fast_run.termination_round,
         reference_seconds=reference_time,
         fastpath_seconds=fast_time,
+        speedup=round(speedup, 2),
+    )
+
+
+NUMPY_BATCH_FLOOR = 5.0
+"""The word-packed numpy sweep must beat a pure sweep of the batch by this."""
+
+
+def test_ext_scale_fastpath_numpy_batch(benchmark):
+    """Serial ER-2000 (mean degree 8) x 512: word-packed numpy vs pure.
+
+    The baseline is a pure ``sweep_specs`` of the same 512 single-source
+    specs, the fastest other engine for the batch (the oracle lanes
+    lose to it on this family, see ``test_ext_ap_auto_vs_oracle_lane``).
+    Both sides run serially and interleaved in one process, so the
+    floor does not depend on the core count.
+    """
+    graph = _scaling_graph(2_000)
+    nodes = graph.nodes()
+    index = IndexedGraph.of(graph)
+
+    def specs(backend):
+        return [
+            FloodSpec(graph=graph, sources=(nodes[k],), backend=backend)
+            for k in range(512)
+        ]
+
+    numpy_specs, pure_specs = specs("numpy"), specs("pure")
+    runs = benchmark(sweep_specs, numpy_specs, index)
+    assert all(run.terminated for run in runs)
+
+    numpy_time, numpy_runs, pure_time, pure_runs = _best_of_interleaved(
+        lambda: sweep_specs(numpy_specs, index),
+        lambda: sweep_specs(pure_specs, index),
+        repeats=3,
+    )
+    for fast, slow in zip(numpy_runs, pure_runs):
+        assert fast.round_edge_counts == slow.round_edge_counts
+        assert fast.terminated == slow.terminated
+    speedup = pure_time / numpy_time
+    assert speedup >= NUMPY_BATCH_FLOOR, (
+        f"word-packed numpy sweep only {speedup:.1f}x over a pure sweep"
+    )
+    record(
+        benchmark,
+        nodes=graph.num_nodes,
+        edges=graph.num_edges,
+        backend="numpy",
+        batch=len(numpy_specs),
+        mean_degree=8,
+        numpy_seconds=round(numpy_time, 4),
+        pure_seconds=round(pure_time, 4),
+        baseline="pure_sweep",
         speedup=round(speedup, 2),
     )
 

@@ -67,6 +67,7 @@ QUICK_BENCH_FILES = (
 FASTPATH_PREFIXES = (
     "test_ext_scale_fastpath_backends",
     "test_ext_scale_fastpath_speedup_10k",
+    "test_ext_scale_fastpath_numpy_batch",
     "test_ext_par_",
     "test_ext_svc_",
     "test_ext_var_",

@@ -9,10 +9,12 @@ two engines:
 
 * the **pure** backend (:mod:`repro.fastpath.pure_backend`) -- per-node
   integer bitmasks, no dependencies, O(messages) per round;
-* the **numpy** backend (:mod:`repro.fastpath.numpy_backend`) --
-  vectorised boolean arc arrays, O(arcs) per round, used automatically
-  when numpy is importable and the graph is large enough
-  (:data:`~repro.fastpath.engine.NUMPY_ARC_THRESHOLD` directed arcs);
+* the **numpy** backend (:mod:`repro.fastpath.numpy_backend`) -- a
+  word-packed arc array with one bit per run, so a batch floods up to
+  64 runs per O(arcs) round; used automatically when numpy is
+  importable and the graph is large and dense enough
+  (:data:`~repro.fastpath.engine.NUMPY_ARC_THRESHOLD` directed arcs,
+  :data:`~repro.fastpath.engine.NUMPY_MIN_MEAN_DEGREE` mean degree);
   everything degrades gracefully to pure when numpy is absent;
 * the **oracle** backend (:mod:`repro.fastpath.oracle_backend`) -- no
   frontier at all: one BFS over the implicit double cover predicts the

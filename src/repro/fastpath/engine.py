@@ -11,9 +11,10 @@ Backend selection
 -----------------
 * ``"pure"`` -- per-node integer bitmasks; always available; cost per
   round is O(messages).  Best for small graphs and sparse frontiers.
-* ``"numpy"`` -- vectorised boolean arc arrays; available when numpy
-  imports; cost per round is O(arcs) regardless of frontier size.  Best
-  for large dense floods.
+* ``"numpy"`` -- a word-packed arc array, one bit per run: up to 64
+  runs of a batch share each O(arcs) round, regardless of frontier
+  size (:func:`~repro.fastpath.numpy_backend.run_batch`); available
+  when numpy imports.  Best for large dense floods.
 * ``"oracle"`` -- no frontier at all: one BFS over the implicit double
   cover predicts every statistic the frontier engines report
   (termination round, message totals, per-round counts, sender sets,
@@ -250,11 +251,11 @@ def _dispatch(
 ) -> pure_backend.RawRun:
     """Run one flood described by a resolved :class:`BatchKey`.
 
-    The single execution funnel: the serial entry points, the worker
-    pool's chunk bodies and the service's serial executor all reach the
-    backends through this function, with the same key object they
-    batched on -- so "batchable together" and "runs identically" are
-    one definition.
+    The per-run engines under :func:`dispatch_batch`: variant steppers,
+    the per-source oracle and the pure engine, driven by the same key
+    object the batch was resolved to -- so "batchable together" and
+    "runs identically" are one definition.  Numpy batches never come
+    here; they flood word-packed.
     """
     if key.variant is not None:
         return run_variant(
@@ -266,12 +267,7 @@ def _dispatch(
             collect_senders=key.collect_senders,
             collect_receives=key.collect_receives,
         )
-    if key.backend == NUMPY:
-        runner = numpy_backend.run
-    elif key.backend == ORACLE:
-        runner = oracle_backend.run
-    else:
-        runner = pure_backend.run
+    runner = oracle_backend.run if key.backend == ORACLE else pure_backend.run
     return runner(
         index,
         source_ids,
@@ -292,15 +288,25 @@ def dispatch_batch(
     The batch-granular execution funnel layered over :func:`_dispatch`:
     the serial spec sweep, the worker pool's chunk bodies and the
     service's serial executor all run their batches through this
-    function.  Deterministic oracle batches of at least
+    function.  Plain numpy batches run word-packed in one
+    :func:`~repro.fastpath.numpy_backend.run_batch` call, up to 64
+    floods per arc pass.  Deterministic oracle batches of at least
     :data:`BITSET_MIN_BATCH` runs take the word-packed bitset sweep
     (:mod:`repro.fastpath.bitset_oracle`) when numpy is importable --
     bit-identical to the per-run loop, 64 floods per cover pass;
-    everything else (variants, frontier backends, small batches, no
-    numpy) falls through to the per-run ``_dispatch`` loop.  Variants
-    never take the bitset lane: their steppers execute a stochastic
-    process per ``run_keys`` stream, not a cover prediction.
+    everything else (variants, the pure backend, small oracle batches)
+    falls through to the per-run ``_dispatch`` loop.  Variants never
+    take a word-packed lane: their steppers execute a stochastic
+    process per ``run_keys`` stream.
     """
+    if key.variant is None and key.backend == NUMPY:
+        return numpy_backend.run_batch(
+            index,
+            id_lists,
+            key.budget,
+            collect_senders=key.collect_senders,
+            collect_receives=key.collect_receives,
+        )
     if (
         key.variant is None
         and key.backend == ORACLE
@@ -386,18 +392,18 @@ def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRu
     """One flood from a validated :class:`FloodSpec`, serially.
 
     The single-run core behind :func:`repro.core.amnesiac.simulate`: a
-    batch of one resolved by :func:`resolve_batch`, so a spec runs
-    exactly as it would inside any batch, without the batch loop's
-    per-call list work (a one-run batch never takes the bitset lane).
-    A ``variant`` spec runs its stochastic/memory stepper on the stream
-    ``spec.run_key()``.  Pass ``index`` to reuse a prebuilt
-    :class:`IndexedGraph`.
+    batch of one, resolved by :func:`resolve_batch` and run by
+    :func:`dispatch_batch`, so a spec runs exactly as it would inside
+    any batch (a one-run batch never takes the bitset lane, and a numpy
+    run floods in one-byte words).  A ``variant`` spec runs its
+    stochastic/memory stepper on the stream ``spec.run_key()``.  Pass
+    ``index`` to reuse a prebuilt :class:`IndexedGraph`.
     """
     if index is None:
         index = spec.index()
-    key, (source_ids,), run_keys = resolve_batch((spec,), index)
-    raw = _dispatch(index, source_ids, key, run_keys[0] if run_keys else 0)
-    return wrap_raw_run(index, source_ids, key.backend, raw, key.variant)
+    key, id_lists, run_keys = resolve_batch((spec,), index)
+    (raw,) = dispatch_batch(index, id_lists, key, run_keys)
+    return wrap_raw_run(index, id_lists[0], key.backend, raw, key.variant)
 
 
 def routed_sweep_backend(

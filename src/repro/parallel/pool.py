@@ -92,7 +92,11 @@ they get one).
 """
 
 MAX_CHUNK = 64
-"""Upper bound on the chunk heuristic, to keep results streaming."""
+"""Upper bound on the chunk heuristic, to keep results streaming.
+
+64 runs is one word: a full chunk of a numpy batch fills one ``uint64``
+arc pass of :func:`~repro.fastpath.numpy_backend.run_batch`, and a full
+oracle chunk one bitset cover word."""
 
 _Task = Tuple[List[List[int]], BatchKey, Optional[List[int]]]
 
@@ -146,9 +150,9 @@ def _run_chunk(task: _Task) -> List[RawRun]:
     The chunk carries the batch's :class:`BatchKey` verbatim -- the
     worker executes exactly the object the parent batched on, through
     the same :func:`~repro.fastpath.engine.dispatch_batch` funnel the
-    serial path uses (so eligible oracle chunks take the word-packed
-    bitset sweep inside the worker too; ``MAX_CHUNK`` = 64 keeps those
-    chunks word-aligned).
+    serial path uses (so a numpy chunk floods word-packed, and eligible
+    oracle chunks take the bitset sweep, inside the worker too;
+    ``MAX_CHUNK`` = 64 keeps those chunks word-aligned).
     """
     id_lists, key, run_keys = task
     return dispatch_batch(_WORKER_INDEX, id_lists, key, run_keys)
