@@ -63,11 +63,13 @@ def test_ext_ap_auto_vs_oracle_lane(benchmark, allpairs_workload):
     The timed region is the real API: ``all_pairs_termination`` indexes
     the graph, enumerates the pairs and runs one ``backend=None``
     ``parallel_sweep``.  The baseline is the lane it used to hard-code,
-    ``parallel_sweep(graph, pairs, backend="oracle")`` -- the same tier
-    and pool rules, with deterministic batches on the word-packed
-    bitset cover sweep -- which was the fastest oracle lane available.
-    Round-for-round equality is asserted before any timing claim; both
-    sides take the min of interleaved repetitions.
+    ``parallel_sweep(graph, pairs, backend="oracle")``, the fastest
+    oracle lane available: the pairs flood on the word-packed bitset
+    cover sweep.  Both sides cost ceil(512 / 64) = 8 word-packed engine
+    passes, below ``MIN_PARALLEL_BATCH``, so both run serially in
+    auto mode -- no fresh pool on either side.  Round-for-round
+    equality is asserted before any timing claim; both sides take the
+    min of interleaved repetitions.
     """
     graph = allpairs_workload
     result, auto_first = timed_pedantic(

@@ -15,7 +15,11 @@ batch:
   asserted equal to the frontier engine on every termination round and
   message count (and slower than it on this short-flood family);
 * ``auto_long_floods`` -- ``backend=None`` on a long odd-cycle batch,
-  asserted within 1.1x of naming the fastest engine (pure) explicitly.
+  asserted within 1.1x of naming the fastest engine (pure) explicitly;
+* ``one_shot_mode`` -- auto ``parallel_sweep`` against forced serial
+  and a forced fresh pool on three shapes either side of the
+  ``MIN_PARALLEL_BATCH`` pass floor, asserted within 1.2x of the faster
+  forced mode on >= 2 usable cores.
 
 The >= 2x four-worker speedup assertion is gated on the machine
 actually having >= 4 usable cores (container CI often pins one); the
@@ -34,9 +38,12 @@ import time
 import pytest
 
 from repro.api import FloodSpec
-from repro.fastpath import sweep
-from repro.graphs import erdos_renyi
+from repro.core import all_pairs_termination
+from repro.fastpath import IndexedGraph, sweep
+from repro.fastpath.engine import batch_passes, batch_specs, resolve_batch
+from repro.graphs import cycle_graph, erdos_renyi
 from repro.parallel import (
+    MIN_PARALLEL_BATCH,
     SweepPool,
     default_chunksize,
     parallel_sweep,
@@ -290,4 +297,128 @@ def test_ext_par_sweep_oracle(benchmark, workload, serial_baseline):
         workers=0,
         serial_seconds=serial_seconds,
         speedup=round(speedup, 2),
+    )
+
+
+def _pairs_er2000():
+    graph = erdos_renyi(2_000, 8 / 2_000, seed=7, connected=True)
+    return graph, [list(pair) for pair, _ in all_pairs_termination(graph, 512)]
+
+
+def _numpy_er10k():
+    graph = erdos_renyi(10_000, 8 / 10_000, seed=10_000, connected=True)
+    return graph, [[v] for v in graph.nodes()[:2_048]]
+
+
+def _pure_c4095():
+    graph = cycle_graph(4_095)
+    return graph, [[v] for v in graph.nodes()[:64]]
+
+
+ONE_SHOT_SHAPES = {
+    # shape id: (builder, the mode the pass floor picks on >= 2 cores)
+    "er2000-pairs512": (_pairs_er2000, "serial"),
+    "er10k-numpy2048": (_numpy_er10k, "pool"),
+    "c4095-pure64": (_pure_c4095, "pool"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ONE_SHOT_SHAPES))
+def test_ext_par_one_shot_mode(benchmark, shape):
+    """Auto ``parallel_sweep`` against both forced modes of one call.
+
+    A one-shot call builds, feeds and reaps a fresh pool, so auto mode
+    pools only batches of at least ``MIN_PARALLEL_BATCH`` engine passes
+    (``batch_passes``: 64 runs a pass on the word-packed numpy engine,
+    one a run on pure).  The three shapes sit either side of that
+    floor: the capped all-pairs batch of ``all_pairs_termination`` on
+    ER-2000 (8 passes), ER-10k x 2048 numpy sources (32 passes) and
+    C4095 x 64 pure sources (64 passes).  The baseline is the faster of
+    the two forced modes, serial ``sweep`` (``sweep_specs`` over the
+    same ``batch_specs``) and ``parallel_sweep(workers=cores)``, which
+    always forks a fresh pool: the rule must pick the faster path, so
+    auto is asserted within 1.2x of that baseline.  Interleaved, best of
+    3; every mode's results are asserted identical first.  The same
+    shapes run in quick mode.  With fewer than 2 usable cores there is
+    no pool to choose, so the row records ``floor_skipped`` and why.
+    """
+    build, expected_mode = ONE_SHOT_SHAPES[shape]
+    graph, source_sets = build()
+    cores = worker_count()
+    key, id_lists, _ = resolve_batch(
+        batch_specs(graph, source_sets), IndexedGraph.of(graph)
+    )
+    passes = batch_passes(key, len(id_lists))
+    auto_mode = (
+        "pool" if cores > 1 and passes >= MIN_PARALLEL_BATCH else "serial"
+    )
+
+    serial_runs = sweep(graph, source_sets)  # also warms the parent's caches
+    floor_skipped = cores < 2
+    if not floor_skipped:
+        # The first one or two fresh pools a process forks after
+        # building a large graph run up to ~1.7x slower than later ones
+        # (ER-10k x 2048 on a 2-core VM); keep that out of every mode.
+        for _ in range(2):
+            parallel_sweep(graph, source_sets, workers=cores)
+    runs, auto_first = timed_pedantic(
+        benchmark, parallel_sweep, args=(graph, source_sets)
+    )
+    _assert_identical(serial_runs, runs)
+
+    def timed(call):
+        started = time.perf_counter()
+        result = call()
+        return time.perf_counter() - started, result
+
+    auto_times = [auto_first]
+    serial_times = []
+    pool_times = []
+    for repeat in range(3):
+        serial_times.append(timed(lambda: sweep(graph, source_sets))[0])
+        if not floor_skipped:
+            seconds, pool_runs = timed(
+                lambda: parallel_sweep(graph, source_sets, workers=cores)
+            )
+            _assert_identical(serial_runs, pool_runs)
+            pool_times.append(seconds)
+        if repeat:
+            auto_times.append(timed(lambda: parallel_sweep(graph, source_sets))[0])
+    auto_seconds = min(auto_times)
+    serial_seconds = min(serial_times)
+    info = {}
+    if floor_skipped:
+        baseline_seconds = serial_seconds
+        info["floor_skipped"] = True
+        info["skip_reason"] = f"{cores} usable core: no pool to choose"
+    else:
+        assert auto_mode == expected_mode, (
+            f"{shape}: {passes} passes routed to {auto_mode}, "
+            f"expected {expected_mode}"
+        )
+        pool_seconds = min(pool_times)
+        baseline_seconds = min(serial_seconds, pool_seconds)
+        ratio = auto_seconds / baseline_seconds
+        assert ratio <= 1.2, (
+            f"{shape}: auto ({auto_mode}, {passes} passes) took "
+            f"{ratio:.2f}x the faster forced mode (serial "
+            f"{serial_seconds * 1e3:.1f} ms, pool {pool_seconds * 1e3:.1f} ms)"
+        )
+        info["floor_skipped"] = False
+        info["pool_seconds"] = round(pool_seconds, 4)
+    record(
+        benchmark,
+        nodes=graph.num_nodes,
+        edges=graph.num_edges,
+        backend=key.backend,
+        batch=len(source_sets),
+        passes=passes,
+        auto_mode=auto_mode,
+        workers=cores,
+        usable_cores=cores,
+        auto_seconds=round(auto_seconds, 4),
+        serial_seconds=round(serial_seconds, 4),
+        baseline="fastest_forced",
+        speedup=round(baseline_seconds / auto_seconds, 2),
+        **info,
     )

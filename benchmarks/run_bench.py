@@ -109,6 +109,11 @@ EXTRA_ROW_KEYS = (
     "distinct",
     "hit_rate",
     "store_hits",
+    "passes",
+    "auto_mode",
+    "pool_seconds",
+    "floor_skipped",
+    "skip_reason",
 )
 
 

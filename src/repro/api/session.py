@@ -65,8 +65,9 @@ class FloodSession:
     Parameters
     ----------
     workers:
-        ``None`` auto-sizes to the usable cores (and keeps small
-        batches serial, like :func:`~repro.parallel.parallel_sweep`);
+        ``None`` auto-sizes to the usable cores (and keeps batches of
+        fewer than :data:`~repro.parallel.pool.MIN_PARALLEL_BATCH` runs
+        serial, see :meth:`_pooled`);
         ``0`` forces everything in-process serial; ``n >= 1`` builds
         real ``n``-worker pools for every batched graph (and an
         ``n``-worker service).  Results are bit-identical in every
@@ -128,11 +129,20 @@ class FloodSession:
     def _pooled(self, batch_size: int) -> bool:
         """Whether a fast-path group of ``batch_size`` runs uses a pool.
 
-        Mirrors :func:`~repro.parallel.parallel_sweep`: auto mode
-        (``workers=None``) requires both multiple usable cores and a
-        batch big enough to amortise the pool; an explicit worker count
-        always pools (the caller asked for workers, they get them);
-        ``workers=0`` never pools.
+        Auto mode (``workers=None``) requires both multiple usable
+        cores and at least :data:`~repro.parallel.pool.MIN_PARALLEL_BATCH`
+        *runs*; an explicit worker count always pools (the caller asked
+        for workers, they get them); ``workers=0`` never pools.
+
+        This counts runs where the one-shot
+        :func:`~repro.parallel.parallel_sweep` counts engine passes
+        (:func:`~repro.fastpath.engine.batch_passes`), because the
+        session's pools stay warm across batches and pay no start-up
+        per batch.  On a 2-core VM (three runs of 15-25 interleaved
+        repetitions, medians), ER-2000 (mean degree 8) x 512 numpy runs
+        (8 passes) took 15.5-20.6 ms through a warm 2-worker pool and
+        14.1-19.4 ms serially, a tie within the noise, and ER-10k x 512
+        took 55-85 ms warm-pooled against 76-101 ms serially.
         """
         from repro.parallel.pool import MIN_PARALLEL_BATCH
 

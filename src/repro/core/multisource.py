@@ -185,9 +185,13 @@ def all_pairs_termination(
     Runs as one :func:`repro.parallel.parallel_sweep` batch with
     ``backend=None``: the graph is CSR-indexed once, the frontier engine
     is auto-selected (:func:`repro.fastpath.engine.select_backend`),
-    the quadratic pair enumeration is sharded across the machine's
-    cores (serial below the pool's batch floor), and each pair flood
-    collects only the scalar statistics.  The equivalence matrix holds
+    and each pair flood collects only the scalar statistics.  The batch
+    runs serially below the one-shot pool's floor of
+    :data:`~repro.parallel.pool.MIN_PARALLEL_BATCH` engine passes: on
+    the numpy engine 64 pairs share one pass, so up to 1984 pairs stay
+    in-process, where a fresh pool's start-up would cost more than the
+    floods; larger or pure-engine enumerations are sharded across the
+    machine's cores.  The equivalence matrix holds
     the frontier engines bit-for-bit equal to the double-cover oracle,
     so the output is identical to predicting every pair from the cover.
     """

@@ -277,6 +277,42 @@ def _dispatch(
     )
 
 
+def word_packed(key: BatchKey, runs: int) -> bool:
+    """Whether :func:`dispatch_batch` floods this batch word-packed.
+
+    Plain numpy batches always do (:func:`numpy_backend.run_batch
+    <repro.fastpath.numpy_backend.run_batch>`); deterministic oracle
+    batches do from :data:`BITSET_MIN_BATCH` runs when numpy imports
+    (:mod:`repro.fastpath.bitset_oracle`).  Variants, the pure engine
+    and small oracle batches run one engine call per run.
+    """
+    if key.variant is not None:
+        return False
+    if key.backend == NUMPY:
+        return True
+    return (
+        key.backend == ORACLE
+        and bitset_oracle.HAS_NUMPY
+        and runs >= BITSET_MIN_BATCH
+    )
+
+
+def batch_passes(key: BatchKey, runs: int) -> int:
+    """The engine passes a batch of ``runs`` floods costs.
+
+    A word-packed batch (:func:`word_packed`) floods up to
+    :data:`~repro.fastpath.numpy_backend.WORD_RUNS` = 64 runs per pass
+    (the bitset oracle packs the same 64 runs a word), so it costs
+    ``ceil(runs / 64)`` passes; every other batch costs one pass per
+    run.  :func:`repro.parallel.parallel_sweep` sizes its one-shot pool
+    floor in these units, from the same predicate the lanes dispatch
+    on.
+    """
+    if word_packed(key, runs):
+        return -(-runs // numpy_backend.WORD_RUNS)
+    return runs
+
+
 def dispatch_batch(
     index: IndexedGraph,
     id_lists: Sequence[Sequence[int]],
@@ -297,23 +333,16 @@ def dispatch_batch(
     everything else (variants, the pure backend, small oracle batches)
     falls through to the per-run ``_dispatch`` loop.  Variants never
     take a word-packed lane: their steppers execute a stochastic
-    process per ``run_keys`` stream.
+    process per ``run_keys`` stream.  :func:`word_packed` is the one
+    statement of which batches take a word-packed lane.
     """
-    if key.variant is None and key.backend == NUMPY:
-        return numpy_backend.run_batch(
-            index,
-            id_lists,
-            key.budget,
-            collect_senders=key.collect_senders,
-            collect_receives=key.collect_receives,
+    if word_packed(key, len(id_lists)):
+        packed = (
+            numpy_backend.run_batch
+            if key.backend == NUMPY
+            else bitset_oracle.run_batch
         )
-    if (
-        key.variant is None
-        and key.backend == ORACLE
-        and bitset_oracle.HAS_NUMPY
-        and len(id_lists) >= BITSET_MIN_BATCH
-    ):
-        return bitset_oracle.run_batch(
+        return packed(
             index,
             id_lists,
             key.budget,

@@ -989,7 +989,9 @@ def variant_survey(
     ``chunksize`` choice (the pool shards the batch; the keys do not
     move) and matches the counter-seeded reference surveys trial for
     trial.  ``workers=None`` auto-sizes exactly like
-    :func:`repro.parallel.parallel_sweep`.
+    :func:`repro.parallel.parallel_sweep`; a variant batch never floods
+    word-packed, so each trial is one engine pass and the pool's floor
+    (:data:`~repro.parallel.pool.MIN_PARALLEL_BATCH`) counts trials.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")

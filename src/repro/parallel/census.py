@@ -132,8 +132,10 @@ def receipt_counts(
     correspondence).  The batch runs as one
     :func:`~repro.parallel.parallel_sweep` with ``backend=None`` (the
     auto-selected frontier engine, held bit-identical to the oracle by
-    the equivalence matrix), so the pool sharding rules apply unchanged
-    (serial below the batch floor or on one core).
+    the equivalence matrix), so the pool sharding rules apply unchanged:
+    serial on one core or below :data:`~repro.parallel.pool.MIN_PARALLEL_BATCH`
+    engine passes, which a numpy batch reaches only at 1985 source sets
+    (64 share a word-packed pass) and a pure batch at 32.
     """
     from repro.parallel.pool import parallel_sweep
 

@@ -28,9 +28,10 @@ Entry points
 
 :func:`parallel_sweep`
     One-shot drop-in for :func:`repro.fastpath.sweep`.  Auto-sizes the
-    pool to the usable cores, falls back to the serial loop for small
-    batches or single-core machines (identical results either way), and
-    accepts the same ``backend=`` names, including ``"oracle"``.
+    pool to the usable cores, falls back to the serial loop for batches
+    that cost fewer than :data:`MIN_PARALLEL_BATCH` engine passes or on
+    single-core machines (identical results either way), and accepts
+    the same ``backend=`` names, including ``"oracle"``.
 
 :class:`SweepPool`
     The reusable form for serving workloads: keep one pool of warm
@@ -71,10 +72,10 @@ from repro.api.spec import BatchKey, FloodSpec
 from repro.errors import ConfigurationError
 from repro.fastpath.engine import (
     IndexedRun,
+    batch_passes,
     batch_specs,
     dispatch_batch,
     resolve_batch,
-    sweep_specs,
     wrap_raw_run,
 )
 from repro.fastpath.indexed import IndexedGraph
@@ -83,12 +84,23 @@ from repro.fastpath.variants import VariantSpec
 from repro.graphs.graph import Graph, Node
 
 MIN_PARALLEL_BATCH = 32
-"""Below this many source sets, auto mode keeps the sweep serial.
+"""Below this many engine passes, a one-shot auto-mode sweep stays serial.
 
-Pool start-up plus one index transfer per worker costs a few
-milliseconds; a batch has to amortise that to win.  An explicit
+The unit is :func:`~repro.fastpath.engine.batch_passes`: a word-packed
+batch (plain numpy, or an oracle batch on the bitset lane) floods 64
+runs per pass and costs ``ceil(runs / 64)`` passes; pure, per-source
+oracle and variant batches cost one pass per run.  A fresh pool pays
+fork, one index transfer per worker and the reap before it saves
+anything, and counting runs would charge a word-packed batch 64 times
+its work.  ``bench_parallel.py::test_ext_par_one_shot_mode`` times
+three shapes either side of the floor (2-core VM, best of 3 in each of
+eight runs): ER-2000 x 512 numpy pairs (8 passes) took 40-60 ms
+through a fresh pool against 11-21 ms serially; ER-10k x 2048 numpy
+(32 passes) 255-387 ms against 321-486 ms; C4095 x 64 pure 228-297 ms
+against 247-449 ms.  An explicit
 ``workers=`` request overrides the floor (the caller asked for a pool,
-they get one).
+they get one).  Warm pools pay no start-up, so
+:meth:`~repro.api.session.FloodSession._pooled` keeps counting runs.
 """
 
 MAX_CHUNK = 64
@@ -404,22 +416,26 @@ def parallel_sweep(
 
     workers:
         ``None`` (default) auto-sizes to the usable cores and *also*
-        enables the serial fallback: batches smaller than
-        :data:`MIN_PARALLEL_BATCH` (or machines with one usable core)
-        run in-process, because a pool cannot pay for itself there.  An
-        explicit count -- including ``workers=1`` -- always builds a
-        real pool of exactly that size; the determinism tests rely on
-        this to exercise actual cross-process runs (pickling included)
-        on small batches.
+        enables the serial fallback: batches that cost fewer than
+        :data:`MIN_PARALLEL_BATCH` engine passes
+        (:func:`~repro.fastpath.engine.batch_passes`: 64 runs per pass
+        on the word-packed lanes, one per run elsewhere), and machines
+        with one usable core, run in-process, because a fresh pool
+        cannot pay for itself there.  An explicit count -- including
+        ``workers=1`` -- always builds a real pool of exactly that size
+        for a non-empty batch; the determinism tests rely on this to
+        exercise actual cross-process runs (pickling included) on small
+        batches.
     chunksize:
         Source sets per task; ``None`` applies
         :func:`default_chunksize`.  Only affects scheduling, never
         results.
 
     The batch becomes :func:`~repro.fastpath.engine.batch_specs`, the
-    same specs :func:`repro.fastpath.sweep` builds, and runs through
-    the spec funnel: :func:`~repro.fastpath.engine.sweep_specs`
-    serially or :meth:`SweepPool.sweep_specs` pooled.
+    same specs :func:`repro.fastpath.sweep` builds, and is resolved
+    once (:func:`~repro.fastpath.engine.resolve_batch`); the resolved
+    id lists run through :func:`serial_batch_ids` or
+    :meth:`SweepPool.submit_batch`.
 
     >>> from repro.graphs import cycle_graph
     >>> runs = parallel_sweep(cycle_graph(9), [[0], [3], [0, 4]])
@@ -438,10 +454,15 @@ def parallel_sweep(
     if chunksize is not None and chunksize < 1:
         raise ConfigurationError("chunksize must be >= 1")
     resolved_workers = worker_count(workers)
+    if not specs:
+        return []
+    index = IndexedGraph.of(graph)
+    key, id_lists, run_keys = resolve_batch(specs, index)
     serial = workers is None and (
-        resolved_workers <= 1 or len(specs) < MIN_PARALLEL_BATCH
+        resolved_workers <= 1
+        or batch_passes(key, len(id_lists)) < MIN_PARALLEL_BATCH
     )
     if serial:
-        return sweep_specs(specs)
+        return serial_batch_ids(index, id_lists, key, run_keys)
     with SweepPool(graph, workers=resolved_workers) as pool:
-        return pool.sweep_specs(specs, chunksize)
+        return pool.submit_batch(id_lists, key, chunksize, run_keys).result()
