@@ -18,7 +18,10 @@
 #                 engine pinned bit-identical to the pure engine run
 #                 for run, across word widths, bit positions, pool
 #                 chunk sizes and budget cut-offs, with every value a
-#                 Python int/bool, fail-fast likewise), the
+#                 Python int/bool) and the termination-lane subset
+#                 (the termination-only cover sweep pinned to the full
+#                 floods' rounds, and all_pairs_termination's routing
+#                 onto it), fail-fast likewise, the
 #                 cache-equivalence subset (cached/coalesced/persisted
 #                 results pinned bit-identical to fresh execution,
 #                 fail-fast likewise), the coalescing subset (one
@@ -86,7 +89,7 @@ smoke:
 	$(PYTHON) benchmarks/run_bench.py --quick --summary $(SMOKE_SUMMARY)
 	$(PYTHON) benchmarks/check_drift.py $(SMOKE_SUMMARY)
 	$(PYTHON) -m pytest -x -q tests/fastpath/test_bitset_oracle.py
-	$(PYTHON) -m pytest -x -q tests/fastpath/test_numpy_batch.py
+	$(PYTHON) -m pytest -x -q tests/fastpath/test_numpy_batch.py tests/fastpath/test_termination_lane.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_coalescing.py
 	$(PYTHON) -m pytest -x -q tests/variants/test_fastpath_equivalence.py

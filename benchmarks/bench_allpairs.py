@@ -1,15 +1,22 @@
 """EXT-AP: all-pairs termination and the frontier-engine crossover.
 
-``all_pairs_termination`` floods one batch of two-source sets over a
-graph.  These rows measure the two claims its ``backend=None`` batch
-rests on:
+``all_pairs_termination`` answers the termination round of one
+two-source flood per node pair.  Where the auto-selected frontier
+engine is numpy it answers from the termination-only cover sweep
+(``bitset_oracle.termination_rounds``); elsewhere it floods the pairs
+as one ``backend=None`` ``parallel_sweep``.  These rows measure the
+claims those routes rest on:
 
-* ``auto_vs_oracle_lane`` -- the acceptance row: a 2k-node ER graph of
-  mean degree 8 with a 512-pair cap, through ``all_pairs_termination``
-  (auto-selected frontier engine) vs the same pairs through its former
+* ``termination_lane`` -- the acceptance row of the lane: a 2k-node ER
+  graph of mean degree 8 with a 512-pair cap, through
+  ``all_pairs_termination`` vs the same pairs through the fastest
+  full-statistics alternative, ``parallel_sweep(graph, pairs)`` (the
+  word-packed numpy sweep, serial at 8 passes), round-for-round
+  identical, **>= 2x** asserted on the full workload;
+* ``auto_vs_oracle_lane`` -- ``all_pairs_termination`` vs its oldest
   lane, ``parallel_sweep(..., backend="oracle")`` (the word-packed
-  bitset cover sweep), round-for-round identical, **>= 2x** asserted on
-  the full workload;
+  bitset cover sweep with full statistics), same workload, same
+  equality, **>= 2x** asserted on the full workload;
 * ``bitset_lane_vs_per_source`` -- what keeps the bitset lane: an
   explicit ``backend="oracle"`` batch through ``sweep`` (the word-packed
   cover sweep from ``BITSET_MIN_BATCH`` runs up) vs one per-source
@@ -61,15 +68,15 @@ def test_ext_ap_auto_vs_oracle_lane(benchmark, allpairs_workload):
     """``all_pairs_termination`` vs its former oracle lane, same pairs.
 
     The timed region is the real API: ``all_pairs_termination`` indexes
-    the graph, enumerates the pairs and runs one ``backend=None``
-    ``parallel_sweep``.  The baseline is the lane it used to hard-code,
+    the graph, enumerates the pairs and, the graph being numpy-routed,
+    answers from the termination-only cover sweep in one serial call.
+    The baseline is the lane it used to hard-code,
     ``parallel_sweep(graph, pairs, backend="oracle")``, the fastest
     oracle lane available: the pairs flood on the word-packed bitset
-    cover sweep.  Both sides cost ceil(512 / 64) = 8 word-packed engine
-    passes, below ``MIN_PARALLEL_BATCH``, so both run serially in
-    auto mode -- no fresh pool on either side.  Round-for-round
-    equality is asserted before any timing claim; both sides take the
-    min of interleaved repetitions.
+    cover sweep with full statistics, ceil(512 / 64) = 8 passes, below
+    ``MIN_PARALLEL_BATCH``, so serially in auto mode -- no fresh pool
+    on either side.  Round-for-round equality is asserted before any
+    timing claim; both sides take the min of interleaved repetitions.
     """
     graph = allpairs_workload
     result, auto_first = timed_pedantic(
@@ -118,6 +125,74 @@ def test_ext_ap_auto_vs_oracle_lane(benchmark, allpairs_workload):
         auto_seconds=round(auto_seconds, 4),
         oracle_lane_seconds=round(oracle_seconds, 4),
         baseline="oracle_lane",
+        speedup=round(speedup, 2),
+    )
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the lane needs numpy")
+def test_ext_ap_termination_lane(benchmark, allpairs_workload):
+    """``all_pairs_termination`` on the lane vs the full sweep it replaced.
+
+    The timed region is the real API on a numpy-routed graph: index,
+    enumerate the pairs, answer every termination round from
+    ``bitset_oracle.termination_rounds``.  The baseline is the fastest
+    existing way to the same answer, the route the call took before
+    the lane: ``parallel_sweep(graph, pairs)``, the word-packed numpy
+    engine flooding every pair with full statistics, serial at
+    ceil(512 / 64) = 8 passes.  Round-for-round equality is asserted
+    before any timing claim; both sides take the min of interleaved
+    repetitions, and the full workload asserts **>= 2x**.  The quick
+    graph (256 nodes, ~2k arcs) routes pure, so there both sides run
+    the full sweep and only the equality is checked.
+    """
+    graph = allpairs_workload
+    auto = select_backend(IndexedGraph.of(graph), None)
+    result, lane_first = timed_pedantic(
+        benchmark,
+        all_pairs_termination,
+        args=(graph,),
+        kwargs={"pair_limit": PAIRS},
+    )
+    assert len(result) == PAIRS
+    pairs = [pair for pair, _ in result]
+    full_runs = parallel_sweep(graph, pairs)
+    assert [rounds for _, rounds in result] == [
+        run.termination_round for run in full_runs
+    ]
+
+    def timed(call):
+        started = time.perf_counter()
+        call()
+        return time.perf_counter() - started
+
+    lane_times = [lane_first]
+    full_times = []
+    for repeat in range(5):
+        full_times.append(timed(lambda: parallel_sweep(graph, pairs)))
+        if repeat:
+            lane_times.append(
+                timed(lambda: all_pairs_termination(graph, pair_limit=PAIRS))
+            )
+    lane_seconds = min(lane_times)
+    full_seconds = min(full_times)
+    speedup = full_seconds / lane_seconds
+    if not QUICK:
+        assert auto == "numpy"
+        assert speedup >= 2.0, (
+            f"the termination lane only {speedup:.2f}x over the full "
+            f"sweep on {PAIRS} pairs of a {NODES}-node graph"
+        )
+    record(
+        benchmark,
+        nodes=graph.num_nodes,
+        edges=graph.num_edges,
+        backend=auto,
+        auto_backend=auto,
+        batch=PAIRS,
+        workers=0,
+        lane_seconds=round(lane_seconds, 4),
+        full_sweep_seconds=round(full_seconds, 4),
+        baseline="full_sweep",
         speedup=round(speedup, 2),
     )
 

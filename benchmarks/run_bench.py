@@ -96,6 +96,8 @@ EXTRA_ROW_KEYS = (
     "session_p50_ms",
     "auto_seconds",
     "oracle_lane_seconds",
+    "lane_seconds",
+    "full_sweep_seconds",
     "bitset_seconds",
     "per_source_seconds",
     "auto_backend",

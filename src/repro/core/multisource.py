@@ -28,6 +28,9 @@ from repro.graphs.properties import bipartition, is_connected
 from repro.graphs.traversal import diameter, set_eccentricity
 from repro.core.amnesiac import FloodingRun, simulate
 from repro.core.oracle import OraclePrediction, predict
+from repro.fastpath import IndexedGraph, select_backend
+from repro.fastpath.bitset_oracle import termination_rounds
+from repro.fastpath.engine import NUMPY
 from repro.parallel import parallel_sweep
 
 
@@ -182,18 +185,20 @@ def all_pairs_termination(
     at ``pair_limit`` pairs) -- used by the multi-source sweep benchmark
     to show how termination time shrinks as sources spread out.
 
-    Runs as one :func:`repro.parallel.parallel_sweep` batch with
-    ``backend=None``: the graph is CSR-indexed once, the frontier engine
-    is auto-selected (:func:`repro.fastpath.engine.select_backend`),
-    and each pair flood collects only the scalar statistics.  The batch
-    runs serially below the one-shot pool's floor of
-    :data:`~repro.parallel.pool.MIN_PARALLEL_BATCH` engine passes: on
-    the numpy engine 64 pairs share one pass, so up to 1984 pairs stay
-    in-process, where a fresh pool's start-up would cost more than the
-    floods; larger or pure-engine enumerations are sharded across the
-    machine's cores.  The equivalence matrix holds
-    the frontier engines bit-for-bit equal to the double-cover oracle,
-    so the output is identical to predicting every pair from the cover.
+    The graph is CSR-indexed once and the frontier engine is
+    auto-selected (:func:`repro.fastpath.engine.select_backend`).
+    Where it picks numpy, no pair floods: the termination round of a
+    flood is the cover eccentricity of its sources, and
+    :func:`repro.fastpath.bitset_oracle.termination_rounds` answers
+    the whole enumeration from one serial word-packed cover BFS, 64
+    pairs per word, which costs less per level than the numpy engine
+    does per round.  Elsewhere the pairs run as one
+    :func:`repro.parallel.parallel_sweep` batch with ``backend=None``,
+    collecting only the scalar statistics; it shards across the
+    machine's cores from :data:`~repro.parallel.pool.MIN_PARALLEL_BATCH`
+    pairs.  Both routes are exact: the equivalence matrix holds the
+    frontier engines bit-for-bit equal to the double-cover oracle, so
+    the output is identical to predicting every pair from the cover.
     """
     nodes = graph.nodes()
     pairs: List[Tuple[Node, Node]] = []
@@ -204,6 +209,11 @@ def all_pairs_termination(
             pairs.append((nodes[i], nodes[j]))
         if pair_limit is not None and len(pairs) >= pair_limit:
             break
+    index = IndexedGraph.of(graph)
+    if select_backend(index) == NUMPY:
+        ids = index.ids
+        rounds = termination_rounds(index, [[ids[u], ids[v]] for u, v in pairs])
+        return list(zip(pairs, rounds))
     runs = parallel_sweep(graph, pairs)
     return [
         (pair, run.termination_round) for pair, run in zip(pairs, runs)

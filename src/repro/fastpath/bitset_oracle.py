@@ -44,6 +44,22 @@ decode), with an explicit byte-order normalisation for big-endian
 hosts.  Batches larger than :data:`BLOCK_RUNS` process in blocks so
 the dense level matrix stays small regardless of batch size.
 
+Termination rounds alone (:func:`termination_rounds`) need far less
+than the level matrix.  BFS level ``L`` from ``S x {0}`` holds only
+states of parity ``L mod 2``, so a level's frontier needs one word-row
+per *node*, not per cover state; two visited arrays, one per parity,
+say which ``(node, parity)`` states each run has reached.  A level is
+one arc gather of the frontier, one ``bitwise_or.reduceat`` over the
+CSR blocks (the runs in which each node hears from a frontier
+neighbour), one and-not against the visited array of the level's
+parity, and one OR-reduce across nodes (the runs that found a new
+state).  The last level at which a run finds a new state is its
+cover eccentricity, i.e. its termination round.  No level is decoded
+per state and nothing else is counted, so each level costs less than
+one round of the numpy frontier engine, which
+:func:`repro.core.all_pairs_termination` exploits whenever its batch
+would flood on that engine.
+
 Dispatch: this is an execution strategy for the **oracle** backend, not
 a fourth backend name -- results still report ``backend="oracle"``.
 :func:`repro.fastpath.engine.dispatch_batch` picks it for homogeneous
@@ -73,7 +89,8 @@ WORD_BITS = 64
 BLOCK_RUNS = 256
 """Runs per internal block: caps the dense level matrix at
 ``2n * BLOCK_RUNS`` int32 entries (and the edge-crossing matrices at
-``m * BLOCK_RUNS``) however large the submitted batch is."""
+``m * BLOCK_RUNS``, the termination sweep's gathered arc words at
+``m * BLOCK_RUNS / 64``) however large the submitted batch is."""
 
 
 def _require_numpy() -> None:
@@ -155,6 +172,69 @@ def cover_levels_batch(
         rows, cols = bits.nonzero()
         dist[active[rows], cols] = level
     return dist
+
+
+def termination_rounds(
+    index: IndexedGraph, id_lists: Sequence[Sequence[int]]
+) -> List[int]:
+    """The termination round of every source-id list, word-packed.
+
+    Element ``b`` equals the ``termination_round`` of a full flood from
+    ``id_lists[b]`` (a repeated id seeds its node once) on any engine,
+    with no round budget: a plain flood always stops.  Every value is a
+    plain Python ``int``.
+    """
+    _require_numpy()
+    arrays = _arrays(index)
+    targets = arrays.targets
+    starts = arrays.starts
+    senders = arrays.senders
+    rounds: List[int] = []
+    for block_start in range(0, len(id_lists), BLOCK_RUNS):
+        block = id_lists[block_start : block_start + BLOCK_RUNS]
+        words = -(-len(block) // WORD_BITS)
+        rows: List[int] = []
+        columns: List[int] = []
+        bits: List[int] = []
+        for position, source_ids in enumerate(block):
+            for source in source_ids:
+                rows.append(source)
+                columns.append(position >> 6)
+                bits.append(1 << (position & 63))
+        # Level 0: every run's sources, in the even copy of the cover.
+        frontier = _np.zeros((index.n, words), dtype=_np.uint64)
+        _np.bitwise_or.at(
+            frontier, (rows, columns), _np.array(bits, dtype=_np.uint64)
+        )
+        last = _np.zeros(words * WORD_BITS, dtype=_np.int64)
+        # Isolated nodes have no arcs, so they are neither reduceat
+        # segments nor ever reached: visited rows follow ``senders``.
+        # A zero-arc graph floods no round at all.
+        if senders.size:
+            visited = (
+                _np.take(frontier, senders, axis=0),
+                _np.zeros((senders.size, words), dtype=_np.uint64),
+            )
+            level = 0
+            while True:
+                level += 1
+                # Per sender node, the runs in which some neighbour is
+                # on the frontier: its state of this level's parity.
+                fresh = _np.bitwise_or.reduceat(
+                    _np.take(frontier, targets, axis=0), starts, axis=0
+                )
+                seen = visited[level & 1]
+                fresh &= ~seen
+                alive = _np.bitwise_or.reduce(fresh, axis=0)
+                if not alive.any():
+                    break
+                seen |= fresh
+                frontier[senders] = fresh
+                packed = alive if _np.little_endian else alive.astype("<u8")
+                found = _np.unpackbits(packed.view(_np.uint8), bitorder="little")
+                last[found.astype(bool)] = level
+        rounds.extend(last[: len(block)].tolist())
+    return rounds
 
 
 def run_batch(
@@ -256,4 +336,5 @@ __all__ = [
     "WORD_BITS",
     "cover_levels_batch",
     "run_batch",
+    "termination_rounds",
 ]

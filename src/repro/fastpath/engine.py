@@ -476,11 +476,11 @@ def sweep(
 ) -> List[IndexedRun]:
     """Run many floods over one graph, indexing it exactly once.
 
-    The batch form behind ``all_pairs_termination``, the
-    initial-conditions census sweeps and the scaling benchmarks: the
-    CSR freeze, backend choice and budget resolution are hoisted out of
-    the per-run loop, and per-run collection defaults to the cheap
-    statistics (termination round, message totals, per-round counts).
+    The batch form behind the initial-conditions census sweeps and
+    the scaling benchmarks: the CSR freeze, backend choice and budget
+    resolution are hoisted out of the per-run loop, and per-run
+    collection defaults to the cheap statistics (termination round,
+    message totals, per-round counts).
 
     Results come back in input order, one :class:`IndexedRun` per
     source set, and are plain picklable dataclasses (the shared index

@@ -30,11 +30,12 @@ all cores:
   receive-count censuses as one ``backend=None`` sweep on the
   auto-selected frontier engine.
 
-``repro.core`` routes :func:`~repro.core.multisource.all_pairs_termination`
-and :func:`~repro.core.initial_conditions.classify_all_configurations`
-through this package behind unchanged signatures, so existing callers
-scale to the machine without code changes.  See
-``docs/architecture.md`` for the dataflow.
+``repro.core`` routes
+:func:`~repro.core.initial_conditions.classify_all_configurations`,
+and :func:`~repro.core.multisource.all_pairs_termination` on graphs
+that do not route to numpy, through this package behind unchanged
+signatures, so existing callers scale to the machine without code
+changes.  See ``docs/architecture.md`` for the dataflow.
 """
 
 from repro.parallel.census import (
