@@ -5,18 +5,15 @@
 #                 runs) + ruff + mypy (both skipped with a notice when
 #                 not installed; CI installs and enforces them)
 #   make typecheck - mypy over src/repro (config in pyproject.toml)
-#   make smoke  - CI smoke lane: scaled-down benchmark run (assertions
-#                 included, trajectory file untouched, summary written
-#                 to $(SMOKE_SUMMARY) for the CI artifact), the
-#                 benchmark drift check (quick summary vs the committed
-#                 BENCH_fastpath.json; warns on >25% regressions, never
-#                 fails and never rewrites the trajectory), the
-#                 bitset-oracle equivalence subset (the word-packed
-#                 cover sweep pinned bit-identical to the per-source
-#                 oracle, fail-fast before the full suite), the
-#                 numpy-batch equivalence subset (the word-packed numpy
-#                 engine pinned bit-identical to the pure engine run
-#                 for run, across word widths, bit positions, pool
+#   make smoke  - CI smoke lane, cheapest and most telling checks
+#                 first, so a broken binding or a wrong answer fails
+#                 before the benchmark steps run: the oracle-reference
+#                 subset (the per-source double-cover oracle pinned to
+#                 the frontier engines and the explicit cover,
+#                 fail-fast before the full suite), the numpy-batch
+#                 equivalence subset (the word-packed numpy engine
+#                 pinned bit-identical to the pure engine run for run,
+#                 across word widths, bit positions, pool
 #                 chunk sizes and budget cut-offs, with every value a
 #                 Python int/bool) and the termination-lane subset
 #                 (the termination-only cover sweep pinned to the full
@@ -52,7 +49,13 @@
 #                 a repro name it instruments moves) + a traced
 #                 one-second perfbench pass per workload (exits
 #                 non-zero unless failed == 0: catches a deleted
-#                 binding name or a wrong answer end to end) + the
+#                 binding name or a wrong answer end to end); then
+#                 the scaled-down benchmark run (assertions included,
+#                 trajectory file untouched, summary written to
+#                 $(SMOKE_SUMMARY) for the CI artifact), the benchmark
+#                 drift check (quick summary vs the committed
+#                 BENCH_fastpath.json; warns on >25% regressions,
+#                 never fails and never rewrites the trajectory) + the
 #                 tier-1 suite
 #   make bench  - full benchmark run; rewrites BENCH_fastpath.json
 #   make examples - the examples suite (quick examples run end-to-end)
@@ -86,9 +89,7 @@ typecheck:
 	fi
 
 smoke:
-	$(PYTHON) benchmarks/run_bench.py --quick --summary $(SMOKE_SUMMARY)
-	$(PYTHON) benchmarks/check_drift.py $(SMOKE_SUMMARY)
-	$(PYTHON) -m pytest -x -q tests/fastpath/test_bitset_oracle.py
+	$(PYTHON) -m pytest -x -q tests/fastpath/test_oracle_backend.py
 	$(PYTHON) -m pytest -x -q tests/fastpath/test_numpy_batch.py tests/fastpath/test_termination_lane.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_cache_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/cache/test_coalescing.py
@@ -102,6 +103,8 @@ smoke:
 		$(PYTHON) perfbench/run.py --workload $$workload --seed 7 \
 			--seconds 1 --trace 1 || exit 1; \
 	done
+	$(PYTHON) benchmarks/run_bench.py --quick --summary $(SMOKE_SUMMARY)
+	$(PYTHON) benchmarks/check_drift.py $(SMOKE_SUMMARY)
 	$(PYTHON) -m pytest -x -q
 
 bench:

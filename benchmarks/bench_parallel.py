@@ -11,9 +11,6 @@ batch:
   baseline;
 * ``workers=2 / workers=4`` -- :func:`repro.parallel.parallel_sweep`
   over real worker pools, asserted bit-identical to serial every time;
-* ``oracle`` -- ``backend="oracle"``: the double-cover cross-check,
-  asserted equal to the frontier engine on every termination round and
-  message count (and slower than it on this short-flood family);
 * ``auto_long_floods`` -- ``backend=None`` on a long odd-cycle batch,
   asserted within 1.1x of naming the fastest engine (pure) explicitly;
 * ``one_shot_mode`` -- auto ``parallel_sweep`` against forced serial
@@ -208,8 +205,8 @@ def test_ext_par_auto_long_floods(benchmark):
 
     Odd cycles flood for n rounds.  The fastest engine there is pure:
     every flood sends at most one message per cover edge, so its total
-    work is O(n + m + rounds), and it beats both the per-round numpy
-    engine and the double-cover oracle lanes.  The timed region is bare
+    work is O(n + m + rounds), and it beats the per-round numpy
+    engine.  The timed region is bare
     ``sweep_specs`` with ``backend=None``; the baseline is the same
     batch with ``backend="pure"`` named explicitly.  Both workloads
     assert that ``backend=None`` resolves to pure with bit-identical
@@ -268,35 +265,6 @@ def test_ext_par_auto_long_floods(benchmark):
         pure_seconds=round(pure_seconds, 4),
         baseline="pure",
         speedup=round(pure_seconds / auto_seconds, 2),
-    )
-
-
-def test_ext_par_sweep_oracle(benchmark, workload, serial_baseline):
-    """The oracle lane on the ER acceptance workload, agreement asserted.
-
-    On this family floods last ~8 rounds, so the vectorised frontier
-    engine is the faster choice and the recorded speedup sits below 1 --
-    kept in the trajectory to document why ``backend=None`` never
-    resolves to the oracle.
-    """
-    graph, source_sets = workload
-    serial_seconds, serial_runs = serial_baseline
-    runs, oracle_seconds = timed_pedantic(
-        benchmark, sweep, args=(graph, source_sets), kwargs={"backend": "oracle"}
-    )
-    for frontier, oracle in zip(serial_runs, runs):
-        assert oracle.termination_round == frontier.termination_round
-        assert oracle.total_messages == frontier.total_messages
-    speedup = serial_seconds / oracle_seconds
-    record(
-        benchmark,
-        nodes=graph.num_nodes,
-        edges=graph.num_edges,
-        backend="oracle",
-        batch=len(source_sets),
-        workers=0,
-        serial_seconds=serial_seconds,
-        speedup=round(speedup, 2),
     )
 
 

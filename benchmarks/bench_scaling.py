@@ -132,8 +132,7 @@ def test_ext_scale_fastpath_numpy_batch(benchmark):
     """Serial ER-2000 (mean degree 8) x 512: word-packed numpy vs pure.
 
     The baseline is a pure ``sweep_specs`` of the same 512 single-source
-    specs, the fastest other engine for the batch (the oracle lanes
-    lose to it on this family, see ``test_ext_ap_auto_vs_oracle_lane``).
+    specs, the fastest other engine for the batch.
     Both sides run serially and interleaved in one process, so the
     floor does not depend on the core count.
     """

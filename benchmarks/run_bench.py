@@ -3,7 +3,7 @@
 
 Invokes pytest-benchmark on ``benchmarks/bench_scaling.py`` (the CSR
 backend rows), ``benchmarks/bench_parallel.py`` (the sharded sweep
-pool and oracle fast-lane rows) and ``benchmarks/bench_service.py``
+pool rows) and ``benchmarks/bench_service.py``
 (the async service rows) with ``--benchmark-json`` and distils the
 machine-readable export into ``BENCH_fastpath.json``: one row per
 fast-path benchmark with the graph size, backend, worker count,
@@ -95,11 +95,8 @@ EXTRA_ROW_KEYS = (
     "service_p50_ms",
     "session_p50_ms",
     "auto_seconds",
-    "oracle_lane_seconds",
     "lane_seconds",
     "full_sweep_seconds",
-    "bitset_seconds",
-    "per_source_seconds",
     "auto_backend",
     "pure_seconds",
     "numpy_seconds",

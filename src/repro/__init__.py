@@ -21,7 +21,7 @@ Package map
 ``repro.graphs``      topology substrate (generators, properties, double cover)
 ``repro.sync``        synchronous message-passing engine
 ``repro.core``        amnesiac flooding + termination analysis (the paper)
-``repro.fastpath``    CSR-indexed flooding engines (pure / numpy / oracle)
+``repro.fastpath``    CSR-indexed flooding engines (pure / numpy)
 ``repro.parallel``    sharded multi-core sweep pool over the fast path
 ``repro.service``     async flood-query service over the sweep pool
 ``repro.asynchrony``  asynchronous AF and adversaries (Section 4)

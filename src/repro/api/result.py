@@ -33,7 +33,7 @@ class FloodResult:
     """One flood's outcome, uniform across engine, pool, service and references.
 
     ``backend`` is the engine that actually ran: a fast-path backend
-    name (``"pure"`` / ``"numpy"`` / ``"oracle"``) or
+    name (``"pure"`` / ``"numpy"``) or
     ``"reference:<name>"`` for the pinned set-based reference engines
     (:func:`repro.api.scenarios.run_scenario`).
     ``termination_round`` counts executed rounds (delivery steps for

@@ -45,8 +45,8 @@ from repro.fastpath.variants import VariantSpec
 from repro.graphs.graph import Graph, Node
 from repro.sync.engine import default_round_budget
 
-BACKEND_NAMES = ("pure", "numpy", "oracle")
-"""The concrete fast-path backend names a spec may pin."""
+BACKEND_NAMES = ("pure", "numpy")
+"""The concrete fast-path backend names a spec may pin, and a cache key carry."""
 
 CACHE_MODES = ("use", "bypass", "refresh")
 """Cache policies a spec may carry (:mod:`repro.cache`).

@@ -222,9 +222,7 @@ def simulate(
     :class:`FloodingRun` carrying every statistic the analysis layer
     needs without materialising per-message objects.  The run executes
     on the CSR-indexed engines of :mod:`repro.fastpath`; ``backend``
-    pins ``"pure"``, ``"numpy"`` or ``"oracle"`` (the double-cover
-    prediction -- O(n + m) total, bit-identical statistics); the
-    default auto-selects a frontier engine.
+    pins ``"pure"`` or ``"numpy"``; the default auto-selects one.
 
     Raises
     ------

@@ -15,25 +15,19 @@ two engines:
   importable and the graph is large and dense enough
   (:data:`~repro.fastpath.engine.NUMPY_ARC_THRESHOLD` directed arcs,
   :data:`~repro.fastpath.engine.NUMPY_MIN_MEAN_DEGREE` mean degree);
-  everything degrades gracefully to pure when numpy is absent;
-* the **oracle** backend (:mod:`repro.fastpath.oracle_backend`) -- no
-  frontier at all: one BFS over the implicit double cover predicts the
-  full statistics of a flood in O(n + m) total, independent of round
-  count.  Never auto-selected: it is the shared-nothing cross-check of
-  the frontier engines, requested by name with ``backend="oracle"``.
-  Deterministic oracle batches of
-  :data:`~repro.fastpath.engine.BITSET_MIN_BATCH` or more runs ride
-  the word-packed bitset cover sweep
-  (:mod:`repro.fastpath.bitset_oracle`): 64 source sets flood per
-  ``uint64`` word pass, bit-identical to the per-source oracle.
+  everything degrades gracefully to pure when numpy is absent.
 
-Pass ``backend="pure"`` / ``"numpy"`` / ``"oracle"`` to pin an engine,
-or ``backend=None`` (the default) to auto-select a frontier engine;
-:func:`available_backends` reports what this process can run.  All
-backends are exact -- integer/boolean arithmetic only -- and the
+Pass ``backend="pure"`` / ``"numpy"`` to pin an engine, or
+``backend=None`` (the default) to auto-select one;
+:func:`available_backends` reports what this process can run.  Both
+engines are exact -- integer/boolean arithmetic only -- and the
 equivalence-matrix tests (``tests/core/test_engine_equivalence.py``)
-hold them bit-for-bit equal to the reference frontier simulator and the
-message-passing engine.
+hold them bit-for-bit equal to the reference frontier simulator, the
+message-passing engine and the double-cover oracle
+(:mod:`repro.fastpath.oracle_backend`: one BFS over the implicit cover
+predicts every statistic of a flood; a test reference, not a backend).
+:mod:`repro.fastpath.bitset_oracle` answers termination rounds alone
+from a word-packed cover BFS, 64 source sets per ``uint64`` word.
 
 Entry points:
 
@@ -65,10 +59,8 @@ Entry points:
 """
 
 from repro.fastpath.engine import (
-    BITSET_MIN_BATCH,
     NUMPY_ARC_THRESHOLD,
     NUMPY_MIN_MEAN_DEGREE,
-    ORACLE,
     IndexedRun,
     arc_mask_of,
     available_backends,
@@ -103,10 +95,8 @@ from repro.fastpath.variants import (
 )
 
 __all__ = [
-    "BITSET_MIN_BATCH",
     "NUMPY_ARC_THRESHOLD",
     "NUMPY_MIN_MEAN_DEGREE",
-    "ORACLE",
     "ArcSchedule",
     "IndexedGraph",
     "IndexedRun",

@@ -15,29 +15,18 @@ Backend selection
   runs of a batch share each O(arcs) round, regardless of frontier
   size (:func:`~repro.fastpath.numpy_backend.run_batch`); available
   when numpy imports.  Best for large dense floods.
-* ``"oracle"`` -- no frontier at all: one BFS over the implicit double
-  cover predicts every statistic the frontier engines report
-  (termination round, message totals, per-round counts, sender sets,
-  receive rounds) in O(n + m) total, independent of how many rounds
-  the flood runs.  Always available; requested by name only, as the
-  cross-check of the frontier engines.
 
-``backend=None`` auto-selects between the frontier engines: numpy when
-it is importable *and* the graph has at least
-:data:`NUMPY_ARC_THRESHOLD` directed arcs *and* mean degree at least
-:data:`NUMPY_MIN_MEAN_DEGREE` (sparse graphs run long floods, which
-punish the O(arcs)-per-round engine), else pure.  The oracle is
-never auto-selected -- it is a *prediction* of the process rather than
-an execution of it, kept as the shared-nothing cross-check the
-equivalence matrix holds bit-for-bit equal to the executions.  Long
-floods need no special lane: every flood sends at most one message per
-cover edge, so the pure engine's total work is O(n + m + rounds) too,
-with smaller constants than a cover BFS.  Batches explicitly named
-``backend="oracle"`` additionally ride the word-packed bitset sweep
-(:mod:`repro.fastpath.bitset_oracle`) when they are deterministic and
-at least :data:`BITSET_MIN_BATCH` runs -- an execution strategy, not a
-backend name: results still report ``backend="oracle"`` and stay
-bit-identical to the per-source oracle.
+:data:`~repro.api.spec.BACKEND_NAMES` is the one list of names a
+request may pin.  ``backend=None`` auto-selects: numpy when it is
+importable *and* the graph has at least :data:`NUMPY_ARC_THRESHOLD`
+directed arcs *and* mean degree at least :data:`NUMPY_MIN_MEAN_DEGREE`
+(sparse graphs run long floods, which punish the O(arcs)-per-round
+engine), else pure.  The double-cover oracle is not a backend: it is a
+*prediction* of the process rather than an execution of it, so it
+stays a test reference (:func:`repro.fastpath.oracle_backend.run`,
+held bit-for-bit equal to both engines by the equivalence matrix), and
+the paper's termination question has its own word-packed lane
+(:func:`repro.core.all_pairs_termination`).
 
 :func:`resolve_backend` is the one resolution rule every tier applies:
 variants resolve through :func:`variant_backend`, everything else
@@ -57,16 +46,20 @@ from typing import (
     Tuple,
 )
 
-from repro.api.spec import BatchKey, FloodSpec, checked_budget
+from repro.api.spec import BACKEND_NAMES, BatchKey, FloodSpec, checked_budget
 from repro.errors import ConfigurationError
-from repro.fastpath import bitset_oracle, numpy_backend, oracle_backend, pure_backend
+from repro.fastpath import numpy_backend, pure_backend
 from repro.fastpath.indexed import IndexedGraph
 from repro.fastpath.variants import VariantSpec, run_variant, variant_backend
 from repro.graphs.graph import Graph, Node
 
-PURE = "pure"
-NUMPY = "numpy"
+PURE, NUMPY = BACKEND_NAMES
+
 ORACLE = "oracle"
+"""The retired backend name.
+
+No ``repro`` caller remains; kept only for perfbench's binding table;
+delete with ROADMAP item 4."""
 
 try:
     _popcount = int.bit_count  # Python >= 3.10
@@ -95,26 +88,19 @@ both large (arc threshold) *and* dense enough
 that floods stay short relative to the arc work."""
 
 BITSET_MIN_BATCH = 16
-"""Batch size at which explicit oracle batches switch to the bitset sweep.
-
-Below this the word-packed pass cannot amortise its numpy setup over
-enough runs to beat the per-source Python BFS; at 16+ runs a single
-word sweep replaces 16+ full passes (``bench_allpairs.py``'s
-``bitset_lane_vs_per_source`` rows measure the gain at 16 and 512
-runs).  Chunked tiers shard at
-:data:`repro.parallel.pool.MAX_CHUNK` = 64 = one full word, so pool
-chunks of eligible batches arrive word-aligned."""
+"""No ``repro`` caller remains; kept only for perfbench's binding table;
+delete with ROADMAP item 4."""
 
 
 def available_backends() -> Tuple[str, ...]:
     """The backends runnable in this process (pure is always first).
 
-    Pure and the double-cover oracle are dependency-free and always
-    present; numpy appears when it is importable.
+    :data:`~repro.api.spec.BACKEND_NAMES`, less numpy when it does not
+    import.
     """
-    if numpy_backend.HAS_NUMPY:
-        return (PURE, NUMPY, ORACLE)
-    return (PURE, ORACLE)
+    return tuple(
+        name for name in BACKEND_NAMES if name != NUMPY or numpy_backend.HAS_NUMPY
+    )
 
 
 def validate_backend_name(backend: Optional[str]) -> None:
@@ -125,26 +111,27 @@ def validate_backend_name(backend: Optional[str]) -> None:
     validation (:class:`~repro.api.spec.FloodSpec`) can run it without
     touching -- or building -- the graph's CSR index.
     """
-    if backend in (None, PURE, ORACLE):
-        return
-    if backend == NUMPY:
-        if not numpy_backend.HAS_NUMPY:
+    if backend is None or backend in BACKEND_NAMES:
+        if backend == NUMPY and not numpy_backend.HAS_NUMPY:
             raise ConfigurationError(
                 "numpy backend requested but numpy is not importable"
             )
         return
+    retired = (
+        "; the double-cover oracle is a test reference "
+        "(repro.fastpath.oracle_backend.run), and termination rounds "
+        "have their own lane (repro.core.all_pairs_termination)"
+        if backend == "oracle"
+        else ""
+    )
     raise ConfigurationError(
         f"unknown fastpath backend {backend!r}; expected one of "
-        f"{(PURE, NUMPY, ORACLE)}"
+        f"{BACKEND_NAMES}{retired}"
     )
 
 
 def select_backend(index: IndexedGraph, backend: Optional[str] = None) -> str:
-    """Resolve a backend name, auto-selecting when ``backend`` is None.
-
-    Auto-selection only ever picks a frontier engine (pure or numpy);
-    the oracle must be requested by name.
-    """
+    """Resolve a backend name, auto-selecting when ``backend`` is None."""
     validate_backend_name(backend)
     if backend is None:
         if (
@@ -251,11 +238,11 @@ def _dispatch(
 ) -> pure_backend.RawRun:
     """Run one flood described by a resolved :class:`BatchKey`.
 
-    The per-run engines under :func:`dispatch_batch`: variant steppers,
-    the per-source oracle and the pure engine, driven by the same key
-    object the batch was resolved to -- so "batchable together" and
-    "runs identically" are one definition.  Numpy batches never come
-    here; they flood word-packed.
+    The per-run engines under :func:`dispatch_batch`: variant steppers
+    and the pure engine, driven by the same key object the batch was
+    resolved to -- so "batchable together" and "runs identically" are
+    one definition.  Numpy batches never come here; they flood
+    word-packed.
     """
     if key.variant is not None:
         return run_variant(
@@ -267,8 +254,7 @@ def _dispatch(
             collect_senders=key.collect_senders,
             collect_receives=key.collect_receives,
         )
-    runner = oracle_backend.run if key.backend == ORACLE else pure_backend.run
-    return runner(
+    return pure_backend.run(
         index,
         source_ids,
         key.budget,
@@ -277,38 +263,27 @@ def _dispatch(
     )
 
 
-def word_packed(key: BatchKey, runs: int) -> bool:
+def word_packed(key: BatchKey) -> bool:
     """Whether :func:`dispatch_batch` floods this batch word-packed.
 
-    Plain numpy batches always do (:func:`numpy_backend.run_batch
-    <repro.fastpath.numpy_backend.run_batch>`); deterministic oracle
-    batches do from :data:`BITSET_MIN_BATCH` runs when numpy imports
-    (:mod:`repro.fastpath.bitset_oracle`).  Variants, the pure engine
-    and small oracle batches run one engine call per run.
+    Plain numpy batches do (:func:`numpy_backend.run_batch
+    <repro.fastpath.numpy_backend.run_batch>`), whatever their size;
+    variants and the pure engine run one engine call per run.
     """
-    if key.variant is not None:
-        return False
-    if key.backend == NUMPY:
-        return True
-    return (
-        key.backend == ORACLE
-        and bitset_oracle.HAS_NUMPY
-        and runs >= BITSET_MIN_BATCH
-    )
+    return key.variant is None and key.backend == NUMPY
 
 
 def batch_passes(key: BatchKey, runs: int) -> int:
     """The engine passes a batch of ``runs`` floods costs.
 
     A word-packed batch (:func:`word_packed`) floods up to
-    :data:`~repro.fastpath.numpy_backend.WORD_RUNS` = 64 runs per pass
-    (the bitset oracle packs the same 64 runs a word), so it costs
-    ``ceil(runs / 64)`` passes; every other batch costs one pass per
-    run.  :func:`repro.parallel.parallel_sweep` sizes its one-shot pool
-    floor in these units, from the same predicate the lanes dispatch
-    on.
+    :data:`~repro.fastpath.numpy_backend.WORD_RUNS` = 64 runs per pass,
+    so it costs ``ceil(runs / 64)`` passes; every other batch costs one
+    pass per run.  :func:`repro.parallel.parallel_sweep` sizes its
+    one-shot pool floor in these units, from the same predicate the
+    lanes dispatch on.
     """
-    if word_packed(key, runs):
+    if word_packed(key):
         return -(-runs // numpy_backend.WORD_RUNS)
     return runs
 
@@ -326,23 +301,13 @@ def dispatch_batch(
     service's serial executor all run their batches through this
     function.  Plain numpy batches run word-packed in one
     :func:`~repro.fastpath.numpy_backend.run_batch` call, up to 64
-    floods per arc pass.  Deterministic oracle batches of at least
-    :data:`BITSET_MIN_BATCH` runs take the word-packed bitset sweep
-    (:mod:`repro.fastpath.bitset_oracle`) when numpy is importable --
-    bit-identical to the per-run loop, 64 floods per cover pass;
-    everything else (variants, the pure backend, small oracle batches)
-    falls through to the per-run ``_dispatch`` loop.  Variants never
-    take a word-packed lane: their steppers execute a stochastic
-    process per ``run_keys`` stream.  :func:`word_packed` is the one
-    statement of which batches take a word-packed lane.
+    floods per arc pass (:func:`word_packed`); variants and the pure
+    backend fall through to the per-run ``_dispatch`` loop.  Variants
+    never pack: their steppers execute a stochastic process per
+    ``run_keys`` stream.
     """
-    if word_packed(key, len(id_lists)):
-        packed = (
-            numpy_backend.run_batch
-            if key.backend == NUMPY
-            else bitset_oracle.run_batch
-        )
-        return packed(
+    if word_packed(key):
+        return numpy_backend.run_batch(
             index,
             id_lists,
             key.budget,
@@ -423,10 +388,10 @@ def run_spec(spec: FloodSpec, index: Optional[IndexedGraph] = None) -> IndexedRu
     The single-run core behind :func:`repro.core.amnesiac.simulate`: a
     batch of one, resolved by :func:`resolve_batch` and run by
     :func:`dispatch_batch`, so a spec runs exactly as it would inside
-    any batch (a one-run batch never takes the bitset lane, and a numpy
-    run floods in one-byte words).  A ``variant`` spec runs its
-    stochastic/memory stepper on the stream ``spec.run_key()``.  Pass
-    ``index`` to reuse a prebuilt :class:`IndexedGraph`.
+    any batch (a numpy run floods in one-byte words).  A ``variant``
+    spec runs its stochastic/memory stepper on the stream
+    ``spec.run_key()``.  Pass ``index`` to reuse a prebuilt
+    :class:`IndexedGraph`.
     """
     if index is None:
         index = spec.index()
@@ -455,8 +420,8 @@ def resolve_backend(
     Every tier -- ``run_spec``, the serial and pooled sweeps, the
     session's planner and cache keys, the service router -- resolves
     here, so one spec resolves to one backend wherever it runs.  A
-    variant resolves through :func:`variant_backend` (the pure stepper,
-    never the oracle); everything else through :func:`select_backend`,
+    variant resolves through :func:`variant_backend` (the pure
+    stepper); everything else through :func:`select_backend`,
     which depends only on the graph and the request, never on batch
     size or budget.
     """
@@ -490,27 +455,23 @@ def sweep(
     enough to spread across cores.
 
     ``backend=None`` auto-selects a frontier engine with
-    :func:`select_backend`, the same rule every tier applies.  Pass
-    ``backend="oracle"`` for the double-cover cross-check: it answers
-    from one cover BFS per source set (or one word-packed sweep per
-    batch) and is held bit-for-bit equal to the frontier engines by the
-    equivalence matrix.
+    :func:`select_backend`, the same rule every tier applies.
 
     A ``variant`` spec (:mod:`repro.fastpath.variants`) runs every
     source set through the stochastic/memory stepper instead: run
     ``i`` of the batch draws from the counter-based stream
     ``derive_key(variant.seed, i)``, so results are bit-identical to
     any resharding of the same batch (``parallel_sweep`` relies on
-    this) and never route to the oracle.
+    this).
 
     >>> from repro.fastpath import sweep
     >>> from repro.graphs import cycle_graph
     >>> runs = sweep(cycle_graph(9), [[0], [3], [0, 4]])
     >>> [run.termination_round for run in runs]
     [9, 9, 7]
-    >>> fast = sweep(cycle_graph(9), [[0], [3], [0, 4]], backend="oracle")
-    >>> [run.termination_round for run in fast]
-    [9, 9, 7]
+    >>> pinned = sweep(cycle_graph(9), [[0], [3], [0, 4]], backend="pure")
+    >>> [run.backend for run in pinned]
+    ['pure', 'pure', 'pure']
 
     This is a shim over the declarative request path: the batch becomes
     :func:`batch_specs` and runs through :func:`sweep_specs`.

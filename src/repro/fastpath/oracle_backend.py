@@ -1,4 +1,4 @@
-"""The oracle backend: flooding statistics from the double cover, no flooding.
+"""The double-cover oracle: flooding statistics from the cover, no flooding.
 
 The authors' full version proves that amnesiac flooding on ``G`` from a
 source set ``I`` is step-for-step equivalent to BFS on the bipartite
@@ -17,21 +17,26 @@ frontier engines report, in one O(n + m) BFS pass:
   directed-message counts and the per-round sender sets;
 * the process terminates after round ``max(dist)``.
 
-This backend therefore emits a :data:`~repro.fastpath.pure_backend.RawRun`
+:func:`run` therefore emits a :data:`~repro.fastpath.pure_backend.RawRun`
 bit-for-bit identical to the frontier engines -- including budget
 cut-off truncation -- without ever materialising a frontier.  Cost is
 O(n + m) *total*, independent of the number of rounds.  That is not a
 win over the pure engine: the cover correspondence implies every flood
 sends at most one message per cover edge, so the pure engine's total
-work is O(n + m + rounds) too, with smaller constants (it beats the
-oracle on the long odd-cycle floods the paper calls worst case), and
-the vectorised numpy engine wins on short dense floods.  The oracle is
-therefore never auto-selected.
+work is O(n + m + rounds) too, with smaller constants, and the
+word-packed numpy engine wins on short dense floods.  So this is not a
+backend; no request routes here.
 
-What the oracle adds is a second, shared-nothing implementation of
-every statistic, derived from the proof rather than the process and
-strong enough to sit inside the equivalence matrix; request it with
-``backend="oracle"``.
+What it adds is a second, shared-nothing implementation of every
+statistic, derived from the proof rather than the process: the
+reference column of the equivalence matrix, which tests call by name
+(``oracle_backend.run(index, source_ids, budget)``).  Of the three
+cover BFS codes it is the one that guards the *full* statistics --
+per-round counts, sender sets, receive rounds -- and budget cut-offs
+on the shared CSR index; :mod:`repro.graphs.double_cover` builds the
+explicit tensor product with no CSR or parity encoding, and
+:func:`repro.fastpath.bitset_oracle.termination_rounds` is the
+word-packed production lane for termination rounds alone.
 
 The BFS runs on the *implicit* cover: state ``2 * v + parity`` over the
 CSR arrays of the :class:`~repro.fastpath.indexed.IndexedGraph`, so no
@@ -40,8 +45,7 @@ frontier backends (and with :mod:`repro.parallel` workers).
 
 The one thing the oracle cannot do is arbitrary initial conditions
 (:func:`~repro.fastpath.engine.step_arc_mask` configurations): the
-cover correspondence holds for source-style starts only, which is
-exactly the shape :func:`~repro.fastpath.engine.sweep` dispatches.
+cover correspondence holds for source-style starts only.
 """
 
 from __future__ import annotations
@@ -120,11 +124,8 @@ def stats_from_levels(
     """Turn one run's cover levels into its :data:`RawRun` statistics.
 
     ``dist`` is a :func:`cover_levels` vector (length ``2 * n``, ``-1``
-    for unreachable cover states).  Split out of :func:`run` so the
-    word-packed batch oracle (:mod:`repro.fastpath.bitset_oracle`) can
-    feed its per-run level columns through *exactly* the per-source
-    statistics code -- one implementation of the edge-crossing
-    enumeration, so the two paths cannot drift.
+    for unreachable cover states).  Each undirected cover edge carries
+    one message at the max of its endpoint levels.
     """
     horizon = max(dist)  # the true termination round T (0 if no arcs)
     terminated = horizon <= budget

@@ -189,7 +189,7 @@ def flood(
         round_counts.append(count)
         total += count
         if sender_rounds is not None:
-            # Ascending ids, matching the numpy and oracle backends, so
+            # Ascending ids, matching numpy and the oracle reference, so
             # raw sender lists are comparable across backends.
             sender_rounds.append(sorted(active))
         if forward is not None:

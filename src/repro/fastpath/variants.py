@@ -55,11 +55,9 @@ the contract of this module:
 Backends
 --------
 Variant runs execute only on the pure arc-mask stepper.  The numpy
-frontier kernel and the double-cover oracle model the *deterministic*
-synchronous process: the oracle in particular is a prediction of
-amnesiac flooding's unique execution, which a stochastic,
-step-granular or re-injected run is not, so variant requests never
-route to them -- ``backend="oracle"``/``"numpy"`` with a variant is a
+frontier kernel models the *deterministic* synchronous process, which
+a stochastic, step-granular or re-injected run is not, so variant
+requests never route to it -- ``backend="numpy"`` with a variant is a
 :class:`~repro.errors.ConfigurationError`, and automatic selection
 (:func:`variant_backend`) always resolves to ``"pure"``.
 
@@ -286,9 +284,7 @@ def variant_backend(
 
     Mirrors :func:`repro.fastpath.select_backend` for the variant
     lanes.  ``None`` auto-selects ``"pure"``; naming any other backend
-    raises -- in particular the oracle, which predicts the
-    deterministic process and therefore can never stand in for a
-    stochastic (or non-amnesiac) execution.
+    raises.
     """
     return resolve_variant_backend(backend, spec)
 
@@ -303,12 +299,6 @@ def resolve_variant_backend(backend: Optional[str], spec: VariantSpec) -> str:
     """
     if backend is None or backend == "pure":
         return "pure"
-    if backend == "oracle":
-        raise ConfigurationError(
-            f"the double-cover oracle predicts the deterministic process; "
-            f"{spec.kind!r} variant runs never route to it "
-            f"(backend must be 'pure' or None)"
-        )
     if backend == "numpy":
         raise ConfigurationError(
             f"the numpy kernel runs only the deterministic process; "

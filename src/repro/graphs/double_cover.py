@@ -18,7 +18,14 @@ flooding on the double cover from ``(v, 0)``:
 
 Because this prediction is computed by plain BFS on a *different* graph,
 it shares no code path with the round-by-round simulator and serves as a
-strong correctness oracle in the property tests.
+strong correctness oracle in the property tests.  Of the three cover
+BFS codes it is the one that guards the correspondence itself: it
+builds the explicit tensor product as a :class:`Graph`, with no CSR
+index and no ``2 * v + parity`` state encoding, so a bug in either
+encoding cannot hide in both it and the CSR codes
+(:func:`repro.fastpath.oracle_backend.cover_levels`, the full-statistics
+reference, and :func:`repro.fastpath.bitset_oracle.termination_rounds`,
+the word-packed termination lane).
 """
 
 from __future__ import annotations
@@ -142,7 +149,7 @@ def predicted_round_message_counts(
     reproduces the simulator's ``round_edge_counts`` exactly, without
     running a single round.
 
-    This is the explicit-cover twin of the CSR fast lane
+    This is the explicit-cover twin of the CSR reference
     (:mod:`repro.fastpath.oracle_backend`); the two share no code and
     cross-check each other in the tests.
     """

@@ -31,7 +31,7 @@ Entry points
     pool to the usable cores, falls back to the serial loop for batches
     that cost fewer than :data:`MIN_PARALLEL_BATCH` engine passes or on
     single-core machines (identical results either way), and accepts
-    the same ``backend=`` names, including ``"oracle"``.
+    the same ``backend=`` names.
 
 :class:`SweepPool`
     The reusable form for serving workloads: keep one pool of warm
@@ -54,8 +54,8 @@ Usage::
     specs = [FloodSpec(graph, sources) for sources in sets]
     with SweepPool(graph, workers=4) as pool:     # serving shape
         first = pool.sweep_specs(specs)
-        again = pool.sweep_specs(
-            [spec.replace(backend="oracle") for spec in specs]
+        pinned = pool.sweep_specs(
+            [spec.replace(backend="pure") for spec in specs]
         )
 """
 
@@ -87,9 +87,9 @@ MIN_PARALLEL_BATCH = 32
 """Below this many engine passes, a one-shot auto-mode sweep stays serial.
 
 The unit is :func:`~repro.fastpath.engine.batch_passes`: a word-packed
-batch (plain numpy, or an oracle batch on the bitset lane) floods 64
-runs per pass and costs ``ceil(runs / 64)`` passes; pure, per-source
-oracle and variant batches cost one pass per run.  A fresh pool pays
+(plain numpy) batch floods 64 runs per pass and costs
+``ceil(runs / 64)`` passes; pure and variant batches cost one pass per
+run.  A fresh pool pays
 fork, one index transfer per worker and the reap before it saves
 anything, and counting runs would charge a word-packed batch 64 times
 its work.  ``bench_parallel.py::test_ext_par_one_shot_mode`` times
@@ -107,8 +107,7 @@ MAX_CHUNK = 64
 """Upper bound on the chunk heuristic, to keep results streaming.
 
 64 runs is one word: a full chunk of a numpy batch fills one ``uint64``
-arc pass of :func:`~repro.fastpath.numpy_backend.run_batch`, and a full
-oracle chunk one bitset cover word."""
+arc pass of :func:`~repro.fastpath.numpy_backend.run_batch`."""
 
 _Task = Tuple[List[List[int]], BatchKey, Optional[List[int]]]
 
@@ -162,9 +161,8 @@ def _run_chunk(task: _Task) -> List[RawRun]:
     The chunk carries the batch's :class:`BatchKey` verbatim -- the
     worker executes exactly the object the parent batched on, through
     the same :func:`~repro.fastpath.engine.dispatch_batch` funnel the
-    serial path uses (so a numpy chunk floods word-packed, and eligible
-    oracle chunks take the bitset sweep, inside the worker too;
-    ``MAX_CHUNK`` = 64 keeps those chunks word-aligned).
+    serial path uses (so a numpy chunk floods word-packed inside the
+    worker too; ``MAX_CHUNK`` = 64 keeps those chunks word-aligned).
     """
     id_lists, key, run_keys = task
     return dispatch_batch(_WORKER_INDEX, id_lists, key, run_keys)
@@ -419,7 +417,7 @@ def parallel_sweep(
         enables the serial fallback: batches that cost fewer than
         :data:`MIN_PARALLEL_BATCH` engine passes
         (:func:`~repro.fastpath.engine.batch_passes`: 64 runs per pass
-        on the word-packed lanes, one per run elsewhere), and machines
+        on the word-packed numpy lane, one per run elsewhere), and machines
         with one usable core, run in-process, because a fresh pool
         cannot pay for itself there.  An explicit count -- including
         ``workers=1`` -- always builds a real pool of exactly that size

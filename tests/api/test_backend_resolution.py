@@ -38,9 +38,11 @@ from repro.graphs import (
     path_graph,
     petersen_graph,
 )
+from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.parallel import SweepPool, parallel_sweep
 from repro.parallel.census import receipt_counts
 from repro.service import FloodService
+from tests.conftest import cover_runs
 
 C101 = cycle_graph(101)
 # Past both numpy auto-selection thresholds (arcs >= 4096, mean degree >= 4).
@@ -56,7 +58,11 @@ GRAPHS = {
 SPECS = {
     "c101-budget-4": FloodSpec(C101, (0,), max_rounds=4),
     "c101-pure": FloodSpec(C101, (0,), backend="pure"),
-    "c101-oracle": FloodSpec(C101, (0,), backend="oracle"),
+    **(
+        {"c101-numpy": FloodSpec(C101, (0,), backend="numpy")}
+        if HAS_NUMPY
+        else {}
+    ),
     "er-dense-pure": FloodSpec(DENSE, (DENSE.nodes()[0],), backend="pure"),
     "kmemory-2": FloodSpec.from_scenario("kmemory:2", C101, (0,)),
     "lossy": FloodSpec.from_scenario("lossy:0.2", C101, (0,), seed=3),
@@ -148,7 +154,6 @@ def test_auto_resolves_by_the_frontier_rule_at_every_tier(name, batch_size):
         for i in range(batch_size)
     ]
     expected = select_backend(IndexedGraph.of(graph), None)
-    assert expected != "oracle"
     backends = tier_backends(specs)
     assert backends == dict.fromkeys(backends, {expected})
 
@@ -196,24 +201,22 @@ def matrix_families():
 
 
 @pytest.mark.parametrize("graph", matrix_families())
-def test_all_pairs_equals_the_oracle_lane(graph):
+def test_all_pairs_equals_the_cover_reference(graph):
     result = all_pairs_termination(graph, pair_limit=80)
     pairs = [pair for pair, _ in result]
-    oracle = parallel_sweep(graph, pairs, backend="oracle")
+    oracle = cover_runs(graph, pairs)
     assert [rounds for _, rounds in result] == [
         run.termination_round for run in oracle
     ]
 
 
 @pytest.mark.parametrize("graph", matrix_families())
-def test_receipt_counts_equal_the_oracle_lane(graph):
+def test_receipt_counts_equal_the_cover_reference(graph):
     nodes = graph.nodes()
     source_sets = [[v] for v in nodes] + [
         [a, b] for a, b in zip(nodes, nodes[2:])
     ]
-    oracle = parallel_sweep(
-        graph, source_sets, backend="oracle", collect_receives=True
-    )
+    oracle = cover_runs(graph, source_sets, collect_receives=True)
     assert receipt_counts(graph, source_sets) == [
         tuple(len(rounds) for rounds in run.receive_rounds_by_id)
         for run in oracle

@@ -247,7 +247,7 @@ class TestSweepAcrossTiers:
         cycle = GRAPHS["c9"]
         specs = [
             FloodSpec(graph=graph, sources=(graph.nodes()[0],)),
-            FloodSpec(graph=cycle, sources=(0,), backend="oracle"),
+            FloodSpec(graph=cycle, sources=(0,), backend="pure"),
             FloodSpec(graph=graph, sources=(graph.nodes()[1],)),
             FloodSpec(
                 graph=cycle, sources=(3,), variant=thinning(0.8, seed=1)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import BatchKey, FloodSpec
 from repro.errors import ConfigurationError, NodeNotFoundError
-from repro.fastpath import bernoulli_loss, thinning
+from repro.fastpath import available_backends, bernoulli_loss, thinning
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import cycle_graph, path_graph
 from repro.sync.engine import default_round_budget
@@ -195,8 +195,7 @@ class TestValidationMatrix:
             FloodSpec.from_scenario("kmemory:-1", GRAPH, [0])
 
     def test_every_backend_name_accepted_when_valid(self):
-        names = ["pure", "oracle"] + (["numpy"] if HAS_NUMPY else [])
-        for name in names:
+        for name in available_backends():
             assert FloodSpec(
                 graph=path_graph(4), sources=(0,), backend=name
             ).backend == name

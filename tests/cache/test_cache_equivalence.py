@@ -153,7 +153,7 @@ class TestSweepMixedHitMiss:
         specs = [
             FloodSpec(graph=cy, sources=(0,)),
             FloodSpec(graph=kn, sources=(1,)),
-            FloodSpec(graph=cy, sources=(0,), backend="oracle"),
+            FloodSpec(graph=cy, sources=(0,), backend="pure"),
             FloodSpec(graph=cy, sources=(0,)),  # duplicate of position 0
         ]
         with FloodSession(workers=0, cache=ResultCache()) as session:

@@ -8,6 +8,7 @@ the cache policy itself.  The codec must round-trip every collected
 field bit-identically and reject anything it cannot validate.
 """
 
+import dataclasses
 import pickle
 import subprocess
 import sys
@@ -50,7 +51,7 @@ class TestKeyDiscipline:
         spec = FloodSpec(graph=cycle_graph(9), sources=(0,))
         assert result_cache_key(spec, "pure") == spec.digest() + ":pure"
         assert result_cache_key(spec, "pure") != result_cache_key(
-            spec, "oracle"
+            spec, "numpy"
         )
 
     def test_cache_policy_does_not_change_the_address(self):
@@ -124,7 +125,7 @@ class TestCrossProcessStability:
             "from repro.graphs import paper_triangle\n"
             "from repro.cache import result_cache_key\n"
             f"spec = {self.RECIPE}\n"
-            "print(result_cache_key(spec, 'oracle'))"
+            "print(result_cache_key(spec, 'numpy'))"
         )
         here = result_cache_key(
             FloodSpec(
@@ -133,7 +134,7 @@ class TestCrossProcessStability:
                 max_rounds=9,
                 collect_receives=True,
             ),
-            "oracle",
+            "numpy",
         )
         assert self.run_child(code, hashseed) == here
 
@@ -152,8 +153,7 @@ class TestCrossProcessStability:
 class TestCodecRoundTrip:
     @pytest.mark.parametrize(
         "backend",
-        ["pure", "oracle"]
-        + (["numpy"] if HAS_NUMPY else []),
+        ["pure"] + (["numpy"] if HAS_NUMPY else []),
     )
     @pytest.mark.parametrize("collect", [False, True])
     def test_round_trip_is_bit_identical(self, backend, collect):
@@ -169,6 +169,11 @@ class TestCodecRoundTrip:
         assert back is not None
         assert identical(run, back)
         assert back.index is run.index  # same memoised CSR index
+
+    def test_retired_backend_name_decodes_as_a_miss(self):
+        spec = FloodSpec(graph=cycle_graph(9), sources=(0,))
+        run = dataclasses.replace(run_spec(spec), backend="oracle")
+        assert decode_run(encode_run(run), spec) is None
 
     def test_variant_round_trip_keeps_reached_count(self):
         spec = FloodSpec(

@@ -15,7 +15,7 @@ import pytest
 from repro.cache import CACHE_FORMAT_VERSION, DirectoryStore, ResultCache
 from repro.errors import ConfigurationError
 
-KEY = "ab" * 32 + ":oracle"
+KEY = "ab" * 32 + ":numpy"
 
 
 class TestRoundTrip:

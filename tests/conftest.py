@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import functools
-import random
 import threading
 from typing import List, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
+from repro.api import FloodSpec
+from repro.fastpath import IndexedGraph, oracle_backend
+from repro.fastpath.engine import IndexedRun, wrap_raw_run
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -45,6 +47,38 @@ def triangle() -> Graph:
 def even_cycle() -> Graph:
     """Figure 3's six-cycle."""
     return paper_even_cycle()
+
+
+# ----------------------------------------------------------------------
+# The double-cover reference: oracle_backend.run, called by name
+# ----------------------------------------------------------------------
+
+
+def cover_runs(
+    graph: Graph,
+    source_sets,
+    max_rounds=None,
+    collect_senders: bool = False,
+    collect_receives: bool = False,
+) -> List[IndexedRun]:
+    """The double-cover prediction of every flood, labelled ``"cover"``.
+
+    One :func:`repro.fastpath.oracle_backend.run` per source set over
+    ``IndexedGraph.of(graph)``, with the canonical sources and resolved
+    budget of the matching ``FloodSpec``.  The reference the engines,
+    the pool, the session and the service are held equal to; the
+    oracle itself is not a backend.
+    """
+    index = IndexedGraph.of(graph)
+    runs = []
+    for sources in source_sets:
+        spec = FloodSpec(graph, tuple(sources), max_rounds)
+        ids = index.resolve_sources(spec.sources)
+        raw = oracle_backend.run(
+            index, ids, spec.max_rounds, collect_senders, collect_receives
+        )
+        runs.append(wrap_raw_run(index, ids, "cover", raw))
+    return runs
 
 
 # ----------------------------------------------------------------------

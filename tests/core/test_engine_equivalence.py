@@ -1,6 +1,6 @@
-"""The three-engine equivalence matrix.
+"""The engine equivalence matrix.
 
-Amnesiac flooding has three independent implementations:
+Amnesiac flooding has four independent implementations:
 
 1. the message-passing engine (:func:`repro.core.flood_trace`) -- the
    paper's model, executed literally;
@@ -8,7 +8,11 @@ Amnesiac flooding has three independent implementations:
    (:func:`repro.core.simulate_reference`);
 3. the CSR fast path (:func:`repro.fastpath.run_spec`), in every
    backend :func:`repro.fastpath.available_backends` reports -- which
-   also powers the public :func:`repro.core.simulate`.
+   also powers the public :func:`repro.core.simulate`;
+4. the double-cover oracle (:func:`repro.fastpath.oracle_backend.run`),
+   which predicts every statistic from one BFS over the implicit cover
+   without running a round.  It is not a backend, so its ``"cover"``
+   column calls it by name (:func:`tests.conftest.cover_runs`).
 
 This suite holds all of them bit-for-bit equal -- termination round,
 terminated flag, per-round directed-message counts, per-round sender
@@ -16,8 +20,8 @@ sets and per-node receive rounds -- on a seeded randomized matrix of
 Erdős–Rényi graphs, cycles, the paper's own figure instances, and
 trees, under single and multiple sources, with and without budget
 cut-offs.  The backend axis is parametrized from
-``available_backends()``, so a newly registered backend joins the matrix
-by construction.
+``available_backends()`` plus the cover column, so a newly registered
+backend joins the matrix by construction.
 """
 
 from __future__ import annotations
@@ -42,12 +46,17 @@ from repro.graphs import (
     petersen_graph,
     random_tree,
 )
+from tests.conftest import cover_runs
 
-BACKENDS = pytest.mark.parametrize("backend", available_backends())
+BACKENDS = pytest.mark.parametrize(
+    "backend", (*available_backends(), "cover")
+)
 
 
 def run_indexed(graph, sources, backend, max_rounds=None):
-    """One fast-path run with full statistics collected."""
+    """One fast-path run (or cover prediction), full statistics collected."""
+    if backend == "cover":
+        return cover_runs(graph, [sources], max_rounds, True, True)[0]
     return run_spec(
         FloodSpec(
             graph=graph,

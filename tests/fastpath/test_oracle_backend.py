@@ -1,10 +1,11 @@
-"""The oracle fast lane vs the frontier engines and the explicit cover.
+"""The double-cover oracle vs the frontier engines and the explicit cover.
 
 Three independent implementations of "what does this flood do":
 
 1. the frontier engines (pure bitmask / numpy arc arrays), which *run*
    the process round by round;
-2. the CSR oracle backend (``backend="oracle"``), one BFS over the
+2. the CSR oracle (:func:`repro.fastpath.oracle_backend.run`, called by
+   name through :func:`tests.conftest.cover_runs`), one BFS over the
    implicit double cover;
 3. the explicit-cover predictors in :mod:`repro.graphs.double_cover`,
    plain BFS on a materialised cover graph.
@@ -41,10 +42,7 @@ from repro.graphs import (
     predicted_termination_round,
     random_tree,
 )
-
-FRONTIER_BACKENDS = tuple(
-    backend for backend in available_backends() if backend != "oracle"
-)
+from tests.conftest import cover_runs
 
 
 def run_full(graph, sources, backend, max_rounds=None):
@@ -101,9 +99,8 @@ MATRIX = matrix()
 class TestOracleVsFrontierEngines:
     @pytest.mark.parametrize("graph,sources", MATRIX)
     def test_full_statistics_agree(self, graph, sources):
-        oracle = run_full(graph, sources, "oracle")
-        assert oracle.backend == "oracle"
-        for backend in FRONTIER_BACKENDS:
+        (oracle,) = cover_runs(graph, [sources], None, True, True)
+        for backend in available_backends():
             frontier = run_full(graph, sources, backend)
             assert oracle.terminated == frontier.terminated
             assert oracle.termination_round == frontier.termination_round
@@ -125,7 +122,7 @@ class TestOracleVsFrontierEngines:
         horizon = simulate_reference(graph, [source]).termination_round
         for budget in range(1, horizon + 3):
             reference = simulate_reference(graph, [source], max_rounds=budget)
-            oracle = run_full(graph, [source], "oracle", max_rounds=budget)
+            (oracle,) = cover_runs(graph, [[source]], budget, True, True)
             assert oracle.terminated == reference.terminated, budget
             assert oracle.termination_round == reference.termination_round
             assert oracle.round_edge_counts == reference.round_edge_counts
@@ -138,7 +135,7 @@ class TestOracleVsExplicitCover:
 
     @pytest.mark.parametrize("graph,sources", MATRIX)
     def test_predictors_agree(self, graph, sources):
-        run = run_full(graph, sources, "oracle")
+        (run,) = cover_runs(graph, [sources], None, True, True)
         assert run.termination_round == predicted_termination_round(
             graph, sources
         )
@@ -151,11 +148,11 @@ class TestOracleVsExplicitCover:
         assert run.receive_rounds() == predicted_receive_rounds(graph, sources)
 
 
-class TestOracleInSweeps:
-    def test_sweep_backend_oracle(self):
+class TestOracleAsReference:
+    def test_batch_equals_pure_sweep(self):
         graph = erdos_renyi(60, 0.1, seed=8, connected=True)
         sets = [[v] for v in graph.nodes()[:12]] + [list(graph.nodes()[:4])]
-        fast = sweep(graph, sets, backend="oracle")
+        fast = cover_runs(graph, sets)
         slow = sweep(graph, sets, backend="pure")
         assert [r.termination_round for r in fast] == [
             r.termination_round for r in slow
@@ -167,20 +164,8 @@ class TestOracleInSweeps:
             r.round_edge_counts for r in slow
         ]
 
-    def test_oracle_never_auto_selected(self):
-        from repro.fastpath import IndexedGraph, select_backend
-
-        for n in (4, 5000):
-            index = IndexedGraph.of(cycle_graph(n))
-            assert select_backend(index, None) != "oracle"
-
-    def test_oracle_is_always_available(self):
-        assert "oracle" in available_backends()
-
     def test_light_collection(self):
-        run = run_spec(
-            FloodSpec(graph=cycle_graph(6), sources=(0,), backend="oracle")
-        )
+        (run,) = cover_runs(cycle_graph(6), [[0]])
         assert run.termination_round == 3
         with pytest.raises(ConfigurationError):
             run.sender_sets()
@@ -190,7 +175,7 @@ class TestOracleInSweeps:
     def test_isolated_source(self):
         from repro.graphs import Graph
 
-        run = run_full(Graph({0: []}), [0], "oracle")
+        (run,) = cover_runs(Graph({0: []}), [[0]], None, True, True)
         assert run.terminated
         assert run.termination_round == 0
         assert run.total_messages == 0

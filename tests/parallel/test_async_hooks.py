@@ -81,10 +81,10 @@ class TestSubmitBatch:
 
     def test_bridges_into_asyncio(self, workload):
         graph, source_sets = workload
-        serial = sweep(graph, source_sets, backend="oracle")
+        serial = sweep(graph, source_sets, backend="pure")
 
         async def main(pool):
-            future = submit(pool, source_sets, backend="oracle")
+            future = submit(pool, source_sets, backend="pure")
             return await asyncio.wrap_future(future)
 
         with SweepPool(graph, workers=2) as pool:

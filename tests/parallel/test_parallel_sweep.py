@@ -22,7 +22,6 @@ from repro.core import all_pairs_termination
 from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.fastpath import IndexedGraph, sweep
 from repro.fastpath.engine import (
-    BITSET_MIN_BATCH,
     batch_passes,
     dispatch_batch,
     word_packed,
@@ -40,6 +39,9 @@ from repro.parallel import (
 )
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="needs numpy")
+
+PINNED = "numpy" if HAS_NUMPY else "pure"
+"""A pinned backend other than ER-80's auto pick (pure), where numpy runs."""
 
 WORKER_COUNTS = (1, 2, 4)
 CHUNK_SIZES = (None, 1, 3, 64)
@@ -113,15 +115,6 @@ class TestDeterminism:
         assert_runs_identical(serial, parallel)
         assert serial[0].sender_sets() == parallel[0].sender_sets()
         assert serial[0].receive_rounds() == parallel[0].receive_rounds()
-
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_oracle_backend_through_pool(self, batch, workers):
-        graph, source_sets = batch
-        serial = sweep(graph, source_sets, backend="oracle")
-        parallel = parallel_sweep(
-            graph, source_sets, backend="oracle", workers=workers
-        )
-        assert_runs_identical(serial, parallel)
 
     def test_results_share_parent_index(self, batch):
         graph, source_sets = batch
@@ -238,14 +231,6 @@ class TestPassCount:
     def test_numpy_batches_pack_64_runs_a_pass(self, runs, passes):
         assert batch_passes(key_of("numpy"), runs) == passes
 
-    @needs_numpy
-    def test_oracle_batches_pack_from_the_bitset_gate(self):
-        key = key_of("oracle")
-        below = BITSET_MIN_BATCH - 1
-        assert batch_passes(key, below) == below
-        assert batch_passes(key, BITSET_MIN_BATCH) == 1
-        assert batch_passes(key, 65) == 2
-
     @pytest.mark.parametrize("runs", [1, 32, 64, 65])
     def test_pure_batches_count_runs(self, runs):
         assert batch_passes(key_of("pure"), runs) == runs
@@ -261,8 +246,6 @@ class TestPassCount:
             ("pure", 64),
             pytest.param("numpy", 1, marks=needs_numpy),
             pytest.param("numpy", 65, marks=needs_numpy),
-            ("oracle", BITSET_MIN_BATCH - 1),
-            ("oracle", BITSET_MIN_BATCH),
         ],
     )
     def test_passes_follow_the_dispatched_lane(self, monkeypatch, backend, runs):
@@ -270,19 +253,18 @@ class TestPassCount:
         import repro.fastpath.engine as engine_module
 
         packed_calls = []
-        for module in (engine_module.numpy_backend, engine_module.bitset_oracle):
-            original = module.run_batch
+        original = engine_module.numpy_backend.run_batch
 
-            def spy(*args, _original=original, **kwargs):
-                packed_calls.append(len(args[1]))
-                return _original(*args, **kwargs)
+        def spy(*args, **kwargs):
+            packed_calls.append(len(args[1]))
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "run_batch", spy)
+        monkeypatch.setattr(engine_module.numpy_backend, "run_batch", spy)
         graph = cycle_graph(9)
         key = key_of(backend)
         id_lists = [[position % 9] for position in range(runs)]
         dispatch_batch(IndexedGraph.of(graph), id_lists, key)
-        assert bool(packed_calls) == word_packed(key, runs)
+        assert bool(packed_calls) == word_packed(key)
         expected = -(-runs // 64) if packed_calls else runs
         assert batch_passes(key, runs) == expected
 
@@ -392,11 +374,11 @@ class TestSweepPool:
         with SweepPool(graph, workers=2) as pool:
             got_first = pool.sweep_specs(specs_of(graph, first))
             got_second = pool.sweep_specs(
-                specs_of(graph, second, backend="oracle")
+                specs_of(graph, second, backend=PINNED)
             )
             cut = pool.sweep_specs(specs_of(graph, first, max_rounds=2))
         assert_runs_identical(sweep(graph, first), got_first)
-        assert_runs_identical(sweep(graph, second, backend="oracle"), got_second)
+        assert_runs_identical(sweep(graph, second, backend=PINNED), got_second)
         assert_runs_identical(sweep(graph, first, max_rounds=2), cut)
 
     def test_pool_label_space(self):

@@ -1,4 +1,4 @@
-"""Closed-form termination bounds as oracles for the bitset oracle.
+"""Closed-form termination bounds as oracles for the cover BFS codes.
 
 The related work gives round-count formulas strong enough to use as
 independent test oracles (Hussak & Trehan's full version; Turau,
@@ -16,11 +16,12 @@ set ``I`` with set eccentricity ``e(I)`` and diameter ``D``:
 * odd cycles ``C_n`` from one source: exactly ``n`` rounds; even
   cycles: exactly ``n / 2``.
 
-The measured side comes from the word-packed bitset oracle
-(:func:`repro.fastpath.bitset_oracle.run_batch`), so these tests
-cross-check the new backend against formulas that share *no* code with
-any engine -- they are computed from eccentricities and bipartitions,
-not from cover BFS.
+The measured side comes from the word-packed termination lane
+(:func:`repro.fastpath.bitset_oracle.termination_rounds`), and the
+budget cases from the per-source oracle
+(:func:`repro.fastpath.oracle_backend.run`), so these tests cross-check
+both against formulas that share *no* code with any engine -- they are
+computed from eccentricities and bipartitions, not from cover BFS.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import pytest
 
 from repro.core import multi_source_bounds
 from repro.fastpath import IndexedGraph
-from repro.fastpath import bitset_oracle
+from repro.fastpath import bitset_oracle, oracle_backend
 from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import (
     complete_bipartite_graph,
@@ -47,7 +48,7 @@ from repro.graphs import (
 from repro.graphs.properties import is_bipartite
 
 pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="the bitset oracle needs numpy"
+    not HAS_NUMPY, reason="the termination lane needs numpy"
 )
 
 
@@ -90,10 +91,7 @@ def source_batches(graph):
 def measured_rounds(graph, batches):
     index = IndexedGraph.of(graph)
     id_lists = [index.resolve_sources(sources) for sources in batches]
-    budget = 4 * graph.num_nodes + 8  # default budget: above every bound
-    runs = bitset_oracle.run_batch(index, id_lists, budget)
-    assert all(raw[0] for raw in runs), "a bounded flood failed to terminate"
-    return [len(raw[1]) for raw in runs]
+    return bitset_oracle.termination_rounds(index, id_lists)
 
 
 class TestClosedFormBounds:
@@ -135,3 +133,23 @@ class TestClosedFormBounds:
         rounds = measured_rounds(graph, batches)
         for sources, measured in zip(batches, rounds):
             assert measured == multi_source_bounds(graph, sources).exact
+
+    @pytest.mark.parametrize("graph", tier1_families())
+    def test_budget_at_the_bound_terminates(self, graph):
+        """Cut at its closed-form round a flood has stopped; one round
+        earlier it still sends."""
+        index = IndexedGraph.of(graph)
+        for sources in source_batches(graph):
+            bounds = multi_source_bounds(graph, sources)
+            budget = bounds.exact if bounds.bipartite else bounds.upper
+            ids = index.resolve_sources(sources)
+            terminated, counts, *_ = oracle_backend.run(
+                index, ids, budget, False, False
+            )
+            assert terminated and len(counts) <= budget, sources
+            if len(counts) > 1:
+                early = oracle_backend.run(
+                    index, ids, len(counts) - 1, False, False
+                )
+                assert not early[0], sources
+                assert early[1] == counts[:-1], sources

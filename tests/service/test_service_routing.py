@@ -12,6 +12,7 @@ function (perfbench still binds it); no tier calls it.
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 
 from repro.api import FloodSpec
 from repro.fastpath import (
@@ -20,12 +21,16 @@ from repro.fastpath import (
     select_backend,
     sweep,
 )
+from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.fastpath.probe import probe_termination_rounds, routed_backend
 from repro.graphs import complete_graph, cycle_graph, erdos_renyi
 from repro.service import FloodService
 from repro.service.routing import Router
+from tests.conftest import cover_runs
 
 LONG = cycle_graph(129)  # odd: floods run 129 rounds
+PINNED = "numpy" if HAS_NUMPY else "pure"
+"""A pinned backend; numpy differs from the auto pick on LONG."""
 
 
 def query_backend(graph, sources, **kwargs):
@@ -45,13 +50,13 @@ class TestProbe:
         assert rounds
         assert all(value == 33 for value in rounds)
 
-    def test_probe_matches_oracle_sweep(self):
+    def test_probe_matches_the_cover_reference(self):
         graph = erdos_renyi(40, 0.15, seed=3, connected=True)
         index = IndexedGraph.of(graph)
         rounds = probe_termination_rounds(index, samples=3)
         step = max(1, index.n // 3)
         sample_nodes = [index.labels[i] for i in range(0, index.n, step)][:3]
-        reference = sweep(graph, [[v] for v in sample_nodes], backend="oracle")
+        reference = cover_runs(graph, [[v] for v in sample_nodes])
         assert list(rounds) == [run.termination_round for run in reference]
 
     def test_probe_deterministic(self):
@@ -69,26 +74,24 @@ class TestProbe:
 class TestServiceRouting:
     def test_service_keeps_long_floods_on_the_frontier_rule(self):
         expected = select_backend(IndexedGraph.of(LONG), None)
-        assert expected != "oracle"
         assert query_backend(LONG, [0]) == expected
 
     def test_service_routes_short_floods_to_frontier(self):
         graph = complete_graph(12)
         backend = query_backend(graph, [0])
         assert backend in available_backends()
-        assert backend != "oracle"
 
     def test_explicit_backend_wins(self):
         assert query_backend(LONG, [0], backend="pure") == "pure"
-        graph2 = complete_graph(10)
-        assert query_backend(graph2, [0], backend="oracle") == "oracle"
+        assert query_backend(LONG, [0], backend=PINNED) == PINNED
 
     def test_budget_aware_service_routing(self):
-        assert query_backend(LONG, [0], max_rounds=2) != "oracle"
+        expected = select_backend(IndexedGraph.of(LONG), None)
+        assert query_backend(LONG, [0], max_rounds=2) == expected
 
     def test_routed_results_still_match_serial(self):
         """Whatever resolution picks, the statistics equal the serial
-        sweep with that backend and the oracle's."""
+        sweep with that backend and the double-cover reference's."""
         graph = cycle_graph(101)
         sets = [[v] for v in graph.nodes()[:6]]
 
@@ -100,7 +103,7 @@ class TestServiceRouting:
 
         results = asyncio.run(run())
         serial = sweep(graph, sets, backend=results[0].backend)
-        oracle = sweep(graph, sets, backend="oracle")
+        oracle = cover_runs(graph, sets)
         for expected, predicted, actual in zip(serial, oracle, results):
             assert expected.backend == actual.backend
             assert expected.termination_round == actual.termination_round
@@ -114,13 +117,19 @@ class TestServiceRouting:
         async def run():
             async with FloodService(workers=0) as service:
                 await service.query_spec(FloodSpec(LONG, [0]))
-                await service.query_spec(FloodSpec(LONG, [0], backend="oracle"))
+                await service.query_spec(FloodSpec(LONG, [0], backend=PINNED))
                 await service.query_spec(FloodSpec(dense, [0]))
                 return dict(service.stats.backends)
 
         mix = asyncio.run(run())
-        assert mix.get("oracle") == 1
-        assert sum(mix.values()) == 3
+        expected = Counter(
+            [
+                select_backend(IndexedGraph.of(LONG), None),
+                PINNED,
+                select_backend(IndexedGraph.of(dense), None),
+            ]
+        )
+        assert mix == dict(expected)
 
 
 class TestNoProbe:

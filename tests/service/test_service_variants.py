@@ -18,6 +18,7 @@ import pytest
 from repro.api import FloodSpec
 from repro.errors import ConfigurationError
 from repro.fastpath import bernoulli_loss, k_memory, sweep, thinning
+from repro.fastpath.numpy_backend import HAS_NUMPY
 from repro.graphs import cycle_graph, erdos_renyi
 from repro.service import FloodService
 
@@ -119,8 +120,9 @@ class TestVariantQueries:
 
 
 class TestVariantRouting:
-    def test_stochastic_never_routes_to_oracle(self):
-        # The deterministic request names the oracle and gets it; the
+    @pytest.mark.skipif(not HAS_NUMPY, reason="needs numpy")
+    def test_stochastic_never_follows_a_pinned_engine(self):
+        # The deterministic request names numpy and gets it; the
         # stochastic variant on the same topology with backend=None
         # must still land on the pure stepper.
         graph = cycle_graph(64)
@@ -128,7 +130,7 @@ class TestVariantRouting:
         async def main():
             async with FloodService(workers=0) as service:
                 deterministic = await service.query_spec(
-                    FloodSpec(graph, [0], backend="oracle")
+                    FloodSpec(graph, [0], backend="numpy")
                 )
                 stochastic = await service.query_spec(
                     FloodSpec(graph, [0], variant=bernoulli_loss(0.2, seed=1))
@@ -136,7 +138,7 @@ class TestVariantRouting:
                 return deterministic, stochastic, dict(service.stats.backends)
 
         deterministic, stochastic, backends = run(main())
-        assert deterministic.backend == "oracle"
+        assert deterministic.backend == "numpy"
         assert stochastic.backend == "pure"
         assert backends.get("pure") == 1
 
